@@ -15,11 +15,25 @@ import (
 // and full reopens — and checks every observable result against an
 // in-memory oracle.  This is the repository's strongest end-to-end
 // correctness test: any lost write, resurrected delete, mis-ordered
-// scan or snapshot leak fails it.
+// scan or snapshot leak fails it.  Every engine runs unsharded and at
+// four shards, with splits inside the oracle's keyspace so batches,
+// scans and snapshots cross shard boundaries.
 func TestModelCheckAgainstOracle(t *testing.T) {
 	for _, e := range allEngines {
 		t.Run(e.String(), func(t *testing.T) {
-			modelCheck(t, e, 12000, 64+int64(e))
+			for _, shards := range []int{1, 4} {
+				t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+					opts := func(fs vfs.FS) *Options {
+						o := smallOpts(e, fs)
+						if shards > 1 {
+							o.Shards = shards
+							o.ShardSplits = [][]byte{[]byte("key00750"), []byte("key01500"), []byte("key02250")}
+						}
+						return o
+					}
+					modelCheck(t, opts, 12000, 64+int64(e))
+				})
+			}
 		})
 	}
 }
@@ -29,10 +43,10 @@ type oracleSnap struct {
 	view map[string]string
 }
 
-func modelCheck(t *testing.T, e EngineKind, steps int, seed int64) {
+func modelCheck(t *testing.T, opts func(vfs.FS) *Options, steps int, seed int64) {
 	t.Helper()
 	fs := vfs.NewMemFS()
-	db, err := Open("db", smallOpts(e, fs))
+	db, err := Open("db", opts(fs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +221,7 @@ func modelCheck(t *testing.T, e EngineKind, steps int, seed int64) {
 			if err := db.Close(); err != nil {
 				t.Fatalf("step %d close: %v", step, err)
 			}
-			db, err = Open("db", smallOpts(e, fs))
+			db, err = Open("db", opts(fs))
 			if err != nil {
 				t.Fatalf("step %d reopen: %v", step, err)
 			}

@@ -44,16 +44,21 @@ echo "== metrics smoke test (-tags invariants)"
 go test -tags invariants -run TestMetricsSmoke -count=1 .
 
 echo "== hot-path allocation gate"
-# A disabled EventListener must add zero allocations per op to Get/Put.
-go test -run 'TestInstrumentationZeroAlloc|TestHotPathAllocations' -count=1 .
+# A disabled EventListener must add zero allocations per op to Get/Put,
+# and a default-configured Put/Get at 1 and 4 shards stays under its
+# absolute allocation ceiling.
+go test -run 'TestInstrumentationZeroAlloc|TestHotPathAllocations|TestHotPathAllocationCeiling' -count=1 .
 go test -run TestConcurrentZeroAlloc -count=1 ./internal/histogram/
 
 echo "== commit-pipeline bench smoke"
 # One iteration proves the contention benchmark still compiles and
 # runs; real numbers come from -benchtime 2s or the iambench
-# concurrency experiment below.
+# concurrency experiment below, which writes to a scratch directory so
+# the gate never rewrites the committed BENCH_concurrency.json.
 go test -bench ConcurrentCommit -benchtime 1x -run '^$' -count=1 .
-go run ./cmd/iambench -experiment concurrency -scale small -json .
+conctmp=$(mktemp -d)
+go run ./cmd/iambench -experiment concurrency -scale small -json "$conctmp"
+rm -rf "$conctmp"
 
 echo "== sharded front-end gates"
 # Routing, cross-shard atomicity, iterators, recovery markers, the

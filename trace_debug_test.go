@@ -6,6 +6,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -17,9 +19,9 @@ import (
 
 // goldenRun executes one fully deterministic workload — virtual disk
 // clock, inline background work, tracing on — and returns every
-// observable export: the metrics report, the timeline JSON, and both
-// trace wire forms.
-func goldenRun(t *testing.T, e EngineKind) (report, timeline, jsonl, chrome string) {
+// observable export: the metrics report, the timeline JSON, both trace
+// wire forms and the /levels rendering.
+func goldenRun(t *testing.T, e EngineKind) (report, timeline, jsonl, chrome, levels string) {
 	t.Helper()
 	clock := new(vfs.DiskClock)
 	disk := vfs.NewDisk(vfs.NewMemFS(), vfs.SSDProfile(), clock)
@@ -68,19 +70,56 @@ func goldenRun(t *testing.T, e EngineKind) (report, timeline, jsonl, chrome stri
 	if err := db.Trace().WriteChromeTrace(&cb); err != nil {
 		t.Fatal(err)
 	}
-	return db.Metrics().String(), string(tl), jb.String(), cb.String()
+	rec := httptest.NewRecorder()
+	db.DebugHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/levels", nil))
+	return db.Metrics().String(), string(tl), jb.String(), cb.String(), rec.Body.String()
+}
+
+// checkGolden compares one export byte-for-byte against its pinned copy
+// under testdata/golden.  Two runs of one binary agreeing cannot catch a
+// change that alters every run the same way; the pinned copies can.
+// IAMDB_GOLDEN_UPDATE=1 rewrites the files instead — only for a change
+// that is meant to alter the exports.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", "golden", name)
+	if os.Getenv("IAMDB_GOLDEN_UPDATE") == "1" {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("pinned export missing: %v", err)
+	}
+	if string(want) == got {
+		return
+	}
+	wl, gl := strings.Split(string(want), "\n"), strings.Split(got, "\n")
+	for i := 0; i < len(wl) && i < len(gl); i++ {
+		if wl[i] != gl[i] {
+			t.Errorf("%s differs from the pinned export at line %d:\n want %s\n  got %s", name, i+1, wl[i], gl[i])
+			return
+		}
+	}
+	t.Errorf("%s differs from the pinned export: %d lines, want %d", name, len(gl), len(wl))
 }
 
 // TestGoldenDeterminism is the reproducibility gate: two identical
 // virtual-clock runs with inline background work must export
-// byte-identical metrics reports, timelines and traces.  Any ambient
-// time, map-order or scheduling leak into the observability layer
-// breaks this test.
+// byte-identical metrics reports, timelines and traces, equal to the
+// pinned copies.  Any ambient time, map-order or scheduling leak into
+// the observability layer breaks this test, and so does any change to
+// what the single-shard pipeline does.
 func TestGoldenDeterminism(t *testing.T) {
 	for _, e := range []EngineKind{IAM, LSA, LevelDB, RocksDB} {
 		t.Run(e.String(), func(t *testing.T) {
-			rep1, tl1, jl1, ch1 := goldenRun(t, e)
-			rep2, tl2, jl2, ch2 := goldenRun(t, e)
+			rep1, tl1, jl1, ch1, lv1 := goldenRun(t, e)
+			rep2, tl2, jl2, ch2, lv2 := goldenRun(t, e)
 			if rep1 != rep2 {
 				t.Errorf("metrics reports differ between identical runs:\n--- run1\n%s\n--- run2\n%s", rep1, rep2)
 			}
@@ -93,6 +132,14 @@ func TestGoldenDeterminism(t *testing.T) {
 			if ch1 != ch2 {
 				t.Errorf("chrome trace exports differ between identical runs")
 			}
+			if lv1 != lv2 {
+				t.Errorf("/levels renderings differ between identical runs")
+			}
+			base := e.String() + ".shards1"
+			checkGolden(t, base+".report.txt", rep1)
+			checkGolden(t, base+".timeline.json", tl1)
+			checkGolden(t, base+".trace.jsonl", jl1)
+			checkGolden(t, base+".levels.txt", lv1)
 			// The exports must also be non-trivial, or the test proves
 			// nothing.
 			if !strings.Contains(jl1, "commit.group") {
