@@ -38,6 +38,7 @@ import (
 	"iamdb/internal/lsm"
 	"iamdb/internal/memtable"
 	"iamdb/internal/metrics"
+	"iamdb/internal/shard"
 	"iamdb/internal/trace"
 	"iamdb/internal/vfs"
 	"iamdb/internal/vlog"
@@ -83,27 +84,94 @@ type metaEngine interface {
 }
 
 // DB is a key-value store.  All methods are safe for concurrent use.
+//
+// A DB routes over one or more commit pipelines (see pipeline), each
+// owning a disjoint key range.  part maps a key to its pipeline, and
+// one Sequencer issues every sequence number and the visible watermark
+// every read view starts from.  With Options.Shards ≤ 1 there is one
+// pipeline, living in the database directory itself.
 type DB struct {
 	opt    Options
-	dir    string
 	fs     vfs.FS
-	cache  *cache.Cache
-	eng    metaEngine
+	io     *vfs.IOStats
 	events *EventListener
 	clock  Clock
-	// timing enables the per-operation latency histograms.  It is set
-	// when the caller attached a listener or injected a clock — i.e.
-	// opted into observability — so the default configuration skips the
-	// two clock reads per operation.
+	// timing enables the per-operation latency histograms and the
+	// commit-queue wait counter.  It is set when the caller attached a
+	// listener or injected a clock — i.e. opted into observability — so
+	// the default configuration skips the two clock reads per operation.
 	timing bool
+	tr     *trace.Recorder
 
-	// reg names every DB-owned instrument; the hot paths hold direct
-	// pointers below so no map lookup happens per operation.
-	reg          *metrics.Registry
-	io           *vfs.IOStats
-	putHist      *histogram.Concurrent
-	getHist      *histogram.Concurrent
-	scanHist     *histogram.Concurrent
+	part  shard.Partition
+	seqr  *shard.Sequencer
+	pipes []*pipeline
+
+	putHist  *histogram.Concurrent
+	getHist  *histogram.Concurrent
+	scanHist *histogram.Concurrent
+	getOps   atomic.Int64 // point lookups served
+
+	// snaps counts live snapshots per sequence; engine jobs take their
+	// horizon from it (see horizon).  NewIterator holds snapMu while it
+	// captures the engines' views, whose own mutexes nest under it.
+	//
+	//iamlint:lockorder snapMu < core.Tree.mu; snapMu < lsm.DB.mu
+	snapMu sync.Mutex
+	snaps  map[kv.Seq]int
+
+	// Introspection (see debug.go): samplerA holds the active timeline
+	// sampler, and the debug server exposes it over HTTP when
+	// Options.DebugAddr is set.  labelCommit, when non-nil, is the pprof
+	// label set commit leaders wear; it stays nil unless the debug server
+	// is on so the default commit path pays nothing.  It is written once,
+	// before any worker or writer starts.
+	samplerA    atomic.Pointer[metrics.Sampler]
+	debugLn     net.Listener
+	debugSrv    *http.Server
+	labelCommit context.Context
+
+	// mu guards closed; goroutines spawned after Open (a debug-started
+	// scrub) register with wg under it so Close's wg.Wait covers them.
+	// Nothing else is acquired while it is held.
+	mu      sync.Mutex
+	closed  bool
+	closedA atomic.Bool
+
+	// scrub holds the state of the current / most recent Scrub pass
+	// (see scrub.go).  scrub.mu is a leaf lock: nothing else is
+	// acquired while it is held.
+	scrub struct {
+		mu      sync.Mutex
+		running bool
+		last    *ScrubReport
+		lastErr error
+		tables  atomic.Int64
+		blocks  atomic.Int64
+		bytes   atomic.Int64
+	}
+
+	// quit stops every background goroutine — each pipeline's workers
+	// and the debug server's — and wg waits for them.
+	quit chan struct{}
+	wg   sync.WaitGroup
+}
+
+// pipeline is one commit pipeline — the paper's single-tree design:
+// a WAL, a mutable/immutable memtable pair, one engine instance, an
+// optional value log, the leader/follower commit queue, a snapshot
+// registry and the background workers, all over one key range in one
+// directory.  Its sequence numbers come from the DB's Sequencer.
+type pipeline struct {
+	db  *DB
+	opt Options // the DB's options, with cache and memory budget divided across pipelines
+	dir string
+
+	cache *cache.Cache
+	eng   metaEngine
+
+	// The hot paths hold direct pointers to these instruments so no
+	// map lookup happens per operation.
 	stallCount   *metrics.Counter
 	stallNanos   *metrics.Counter
 	walRotations *metrics.Counter
@@ -112,58 +180,38 @@ type DB struct {
 	// a commitOp under qmu and then race for commitMu; the winner
 	// becomes leader, drains the whole queue and commits it as one WAL
 	// record.  Everyone else finds its op already resolved when it gets
-	// the lock.  Lock order is commitMu before db.mu, never the
-	// reverse.  The declared hierarchy below is checked statically by
-	// iamlint's lockorder pass against the inferred acquisition graph.
+	// the lock.  Lock order is commitMu before mu, never the reverse.
+	// The leader takes its group's sequence ticket under commitMu.  The
+	// declared hierarchy below is checked statically by iamlint's
+	// lockorder pass against the inferred acquisition graph.
 	//
 	// With Options.InlineBackground the leader also runs the flush and
 	// compaction pipeline while holding commitMu, so the engine locks
 	// (and through them the trace recorder and vfs locks) nest under it.
 	//
-	//iamlint:lockorder commitMu < qmu; commitMu < iamdb.DB.mu; iamdb.DB.mu < vfs.*; commitMu < trace.Recorder.mu; iamdb.DB.mu < trace.Recorder.mu; commitMu < core.Tree.mu; commitMu < lsm.DB.mu; commitMu < vlog.Log.mu; commitMu < vlog.Log.statsMu; qmu leaf
+	//iamlint:lockorder commitMu < qmu; commitMu < iamdb.pipeline.mu; iamdb.pipeline.mu < vfs.*; commitMu < trace.Recorder.mu; iamdb.pipeline.mu < trace.Recorder.mu; commitMu < core.Tree.mu; commitMu < lsm.DB.mu; commitMu < vlog.Log.mu; commitMu < vlog.Log.statsMu; commitMu < shard.Sequencer.mu; commitMu < snapMu; qmu leaf
 	qmu      sync.Mutex
 	pendingQ []*commitOp
 	commitMu sync.Mutex
-	// seq is the last assigned sequence number, owned by whoever holds
-	// commitMu (and by Open before any writer exists).  In a shard
-	// child it trails the router's global sequencer: writeAt carries
-	// pre-allocated ranges and seq tracks their maximum end.
+	// seq is the largest sequence number in this pipeline's WAL, owned
+	// by whoever holds commitMu (and by Open before any writer exists).
+	// It becomes the flushed memtable's log-meta sequence, from which
+	// Open resumes the Sequencer.
 	seq kv.Seq
 	// walBuf is the leader's scratch encoding buffer (commitMu), and
 	// baseBuf its per-op start-sequence scratch.
 	walBuf  []byte
 	baseBuf []kv.Seq
 
-	// shards, when non-nil, makes this DB a range-sharded router: the
-	// public API fans out to the independent child DBs it holds and
-	// the single-tree fields (eng, mem, walW, ...) stay nil.  See
-	// sharded.go.
-	shards *shardSet
-
-	// Lock-free read snapshot: readers load seqA and then state, with
-	// no mutex.  seqA is the last *published* sequence — stored only
-	// after every memtable insert of that group landed — and state is
-	// re-published on every memtable swap, so the pair always describes
-	// a consistent, torn-batch-free view.
-	seqA    atomic.Uint64
-	state   atomic.Pointer[dbState]
-	closedA atomic.Bool
+	// state is re-published on every memtable swap.  Readers load the
+	// Sequencer's watermark and then state, with no mutex; the
+	// watermark only passes a group after every memtable insert of it
+	// landed, so the pair always describes a consistent, torn-batch-free
+	// view.
+	state atomic.Pointer[dbState]
 
 	userBytes atomic.Int64 // total key+value bytes written
 	putOps    atomic.Int64 // records committed (sequence numbers consumed)
-	getOps    atomic.Int64 // point lookups served
-
-	// Introspection (see debug.go): tr records structural spans (nil =
-	// disabled, zero-cost), samplerA holds the active timeline sampler,
-	// and the debug server exposes both over HTTP when
-	// Options.DebugAddr is set.  labelCommit, when non-nil, is the
-	// pprof label set the commit leader wears; it stays nil unless the
-	// debug server is on so the default commit path pays nothing.
-	tr          *trace.Recorder
-	samplerA    atomic.Pointer[metrics.Sampler]
-	debugLn     net.Listener
-	debugSrv    *http.Server
-	labelCommit context.Context
 
 	commitGroups  *metrics.Counter
 	commitBatches *metrics.Counter
@@ -186,9 +234,6 @@ type DB struct {
 	bgFails    int   // consecutive background failures
 	bgErrSince int64 // clock nanos when bgErr was first latched
 
-	snapMu sync.Mutex
-	snaps  map[kv.Seq]int
-
 	bgRetries   *metrics.Counter
 	bgReadonly  *metrics.Counter
 	bgHealNanos *metrics.Counter
@@ -202,18 +247,14 @@ type DB struct {
 	// Key-value separation (see vlogdb.go and DESIGN.md "Key-value
 	// separation").  vl is nil when the store has no value log; it is
 	// set once during open, before any worker or user operation runs.
-	// routerWrite, set on a shard child by the sharded router, commits
-	// GC rewrite batches through the router so they take globally
-	// allocated sequences.  iterOpen counts open iterators (every shard
-	// of a sharded view counts its own) and gates deferred segment
+	// iterOpen counts open iterators and gates deferred segment
 	// deletion; vlogPendMu is a leaf lock guarding that queue.
-	vl          *vlog.Log
-	vlogOpenSt  vlog.OpenStats
-	vlogGCC     chan struct{}
-	routerWrite func(*Batch) error
-	iterOpen    atomic.Int64
-	vlogPendMu  sync.Mutex
-	vlogPend    []uint64
+	vl         *vlog.Log
+	vlogOpenSt vlog.OpenStats
+	vlogGCC    chan struct{}
+	iterOpen   atomic.Int64
+	vlogPendMu sync.Mutex
+	vlogPend   []uint64
 
 	vlogAppendsC   *metrics.Counter
 	vlogResolvesC  *metrics.Counter
@@ -226,50 +267,38 @@ type DB struct {
 	// that drops bytes must always be visible to the operator.
 	walDrops []walDrop
 
-	// scrub holds the state of the current / most recent Scrub pass
-	// (see scrub.go).  scrub.mu is a leaf lock: nothing else is
-	// acquired while it is held.
-	scrub struct {
-		mu      sync.Mutex
-		running bool
-		last    *ScrubReport
-		lastErr error
-		tables  atomic.Int64
-		blocks  atomic.Int64
-		bytes   atomic.Int64
-	}
-
 	flushC   chan struct{}
 	compactC chan struct{}
-	quit     chan struct{}
-	wg       sync.WaitGroup
 }
 
-// dbState is the immutable read view published through DB.state after
-// every memtable swap.  A reader that loads seqA and then state gets a
-// state that is current or newer than that sequence, and since records
-// only ever move down the hierarchy (mem → imm → engine) the view
-// contains every record at or below the loaded sequence.
+// dbState is the immutable read view published through
+// pipeline.state after every memtable swap.  A reader that loads the
+// watermark and then state gets a state that is current or newer than
+// that sequence, and since records only ever move down the hierarchy
+// (mem → imm → engine) the view contains every record at or below the
+// loaded sequence.
 type dbState struct {
 	mem *memtable.MemTable
 	imm *memtable.MemTable
 }
 
 // publishStateLocked re-publishes the (mem, imm) pair.  Caller holds
-// db.mu, which serializes all memtable swaps.
-func (db *DB) publishStateLocked() {
-	db.state.Store(&dbState{mem: db.mem, imm: db.imm})
+// p.mu, which serializes all memtable swaps.
+func (p *pipeline) publishStateLocked() {
+	p.state.Store(&dbState{mem: p.mem, imm: p.imm})
 }
 
-// commitOp is one writer's seat in the commit queue.  done and err are
-// written by the leader while it holds commitMu and read by the owner
-// only after it acquires commitMu itself, so the mutex orders them.
-// base, when nonzero, is the first sequence number of a range the
-// sharded router pre-allocated for this batch; zero lets the leader
-// assign the next local sequence range.
+// commitOp is one writer's seat in the commit queue.  done, err and
+// end are written by the leader while it holds commitMu and read by
+// the owner only after it acquires commitMu itself, so the mutex
+// orders them.  base, when nonzero, is the first sequence number of a
+// range the router pre-allocated for this cross-shard sub-batch; zero
+// lets the leader assign a range from its group ticket.  end is the
+// op's last sequence number.
 type commitOp struct {
 	b    *Batch
 	base kv.Seq
+	end  kv.Seq
 	err  error
 	done bool
 }
@@ -277,33 +306,18 @@ type commitOp struct {
 // Open opens (creating as needed) a database in dir.  A nil opt uses
 // defaults (IAM engine, OS filesystem).  With Options.Shards > 1 — or
 // when dir carries a SHARDS marker from an earlier sharded open — the
-// returned DB is a range-sharded router over independent per-shard
-// stores (see sharded.go).
+// keyspace is range-partitioned across that many pipelines, each in
+// its own shard-NNN subdirectory.
 func Open(dir string, opt *Options) (*DB, error) {
 	var o Options
 	if opt != nil {
 		o = *opt
 	}
 	o = o.withDefaults()
-	// The shard-000 probe catches a sharded directory whose SHARDS
-	// marker is gone (torn checkpoint, lost file): openSharded turns it
-	// into a typed corruption error instead of silently opening an
-	// empty single-tree store next to the shard data.
-	if o.Shards > 1 || o.FS.Exists(dir+"/"+shardsFileName) ||
-		o.FS.Exists(shardDirName(dir, 0)+"/MANIFEST") {
-		return openSharded(dir, o)
-	}
-	return openSingle(dir, o)
-}
-
-// openSingle opens one classic single-tree store — standalone, or one
-// shard of a sharded DB (o then carries the shared StatsFS, Clock,
-// EventListener and TraceRecorder so observability stays coherent).
-// o must already have defaults applied.
-func openSingle(dir string, o Options) (*DB, error) {
 	// Every DB measures device IO.  Reuse the caller's StatsFS counters
 	// when one is supplied (the bench harness does) so traffic is not
-	// double-counted; otherwise wrap the filesystem ourselves.
+	// double-counted; otherwise wrap the filesystem ourselves.  All
+	// pipelines share it, so device IO is counted once.
 	var io *vfs.IOStats
 	if sfs, ok := o.FS.(*vfs.StatsFS); ok {
 		io = sfs.Stats()
@@ -312,130 +326,183 @@ func openSingle(dir string, o Options) (*DB, error) {
 		o.FS = vfs.NewStatsFS(o.FS, io)
 	}
 	db := &DB{
-		opt: o, dir: dir, fs: o.FS,
-		cache:  cache.New(o.CacheSize),
+		opt: o, fs: o.FS, io: io,
 		events: o.EventListener.EnsureDefaults(),
 		clock:  o.Clock,
 		timing: o.EventListener != nil || o.Clock != nil,
-		reg:    metrics.NewRegistry(),
-		io:     io,
 		tr:     o.Trace,
-		mem:    memtable.New(),
 		snaps:  make(map[kv.Seq]int),
-		flushC: make(chan struct{}, 1), compactC: make(chan struct{}, 1),
-		quit: make(chan struct{}),
+		quit:   make(chan struct{}),
 	}
 	if db.clock == nil {
 		db.clock = newWallClock()
 	}
-	db.putHist = db.reg.Histogram("latency.put")
-	db.getHist = db.reg.Histogram("latency.get")
-	db.scanHist = db.reg.Histogram("latency.scan")
-	db.stallCount = db.reg.Counter("stall.count")
-	db.stallNanos = db.reg.Counter("stall.nanos")
-	db.walRotations = db.reg.Counter("wal.rotations")
-	db.bgRetries = db.reg.Counter("bg.retries")
-	db.bgReadonly = db.reg.Counter("bg.readonly")
-	db.bgHealNanos = db.reg.Counter("bg.heal.nanos")
-	db.bgNoSpace = db.reg.Counter("bg.nospace")
-	db.corrDetected = db.reg.Counter("corruption.detected")
-	db.corrQuarantined = db.reg.Counter("corruption.quarantined")
-	db.scrubBlocksC = db.reg.Counter("scrub.blocks")
-	db.commitGroups = db.reg.Counter("commit.groups")
-	db.commitBatches = db.reg.Counter("commit.batches")
-	db.commitWait = db.reg.Counter("commit.wait.nanos")
-	db.groupSize = db.reg.Histogram("commit.group.size")
-	db.vlogAppendsC = db.reg.Counter("vlog.appends")
-	db.vlogResolvesC = db.reg.Counter("vlog.resolves")
-	db.vlogGCRewrites = db.reg.Counter("vlog.gc.rewrites")
-	db.vlogGCSegments = db.reg.Counter("vlog.gc.segments")
-	db.vlogGCC = make(chan struct{}, 1)
-	db.cond = sync.NewCond(&db.mu)
+	reg := metrics.NewRegistry()
+	db.putHist = reg.Histogram("latency.put")
+	db.getHist = reg.Histogram("latency.get")
+	db.scanHist = reg.Histogram("latency.scan")
 	if err := db.fs.MkdirAll(dir); err != nil {
 		return nil, err
 	}
-	if err := db.openEngine(); err != nil {
+	part, err := loadOrInitPartition(db.fs, dir, o.Shards, o.ShardSplits)
+	if err != nil {
 		return nil, err
 	}
-	if err := db.recover(); err != nil {
-		db.eng.Close()
-		return nil, err
+	db.part = part
+
+	// The block-cache budget models total RAM, so it is divided across
+	// the pipelines instead of multiplied by them.
+	n := part.Count()
+	po := o
+	po.CacheSize = max(o.CacheSize/int64(n), 1)
+	if o.MemBudget > 0 {
+		po.MemBudget = o.MemBudget / int64(n)
 	}
-	if err := db.openVLog(); err != nil {
-		_ = db.walF.Close()
-		db.eng.Close()
-		return nil, err
-	}
-	db.noteOpenSuspicion()
-	db.noteVlogOpenSuspicion()
-	db.seqA.Store(uint64(db.seq))
-	db.mu.Lock()
-	db.publishStateLocked()
-	db.mu.Unlock()
-	if !o.InlineBackground {
-		db.wg.Add(1)
-		go db.flushWorker()
-		for i := 0; i < db.opt.CompactionThreads; i++ {
-			db.wg.Add(1)
-			go db.compactWorker()
+	db.pipes = make([]*pipeline, n)
+	var maxSeq kv.Seq
+	for i := range db.pipes {
+		p, err := openPipeline(db, db.pipeDir(dir, i), po)
+		if err != nil {
+			for _, q := range db.pipes[:i] {
+				_ = q.closeFiles()
+			}
+			if n > 1 {
+				err = fmt.Errorf("iamdb: open shard %d: %w", i, err)
+			}
+			return nil, err
 		}
+		db.pipes[i] = p
+		maxSeq = max(maxSeq, p.seq)
 	}
-	if !o.shardChild {
-		// A shard child's collector is started by the router, after
-		// routerWrite is wired (rewrites must take global sequences).
-		db.startVlogGC()
-	}
+	// The sequencer resumes after the largest recovered sequence
+	// anywhere, so new allocations never collide with replayed records.
+	db.seqr = shard.NewSequencer(maxSeq)
 	if o.DebugAddr != "" {
 		if err := db.startDebugServer(o.DebugAddr); err != nil {
 			_ = db.Close()
 			return nil, err
 		}
 	}
+	for _, p := range db.pipes {
+		p.startWorkers()
+	}
 	return db, nil
 }
 
-func (db *DB) openEngine() error {
-	switch db.opt.Engine {
+// openPipeline opens one pipeline in dir: engine, WAL recovery, value
+// log.  Its background workers start later (startWorkers), once the
+// DB's sequencer exists.
+func openPipeline(db *DB, dir string, o Options) (*pipeline, error) {
+	p := &pipeline{
+		db: db, opt: o, dir: dir,
+		cache:  cache.New(o.CacheSize),
+		mem:    memtable.New(),
+		flushC: make(chan struct{}, 1), compactC: make(chan struct{}, 1),
+		vlogGCC: make(chan struct{}, 1),
+	}
+	reg := metrics.NewRegistry()
+	p.stallCount = reg.Counter("stall.count")
+	p.stallNanos = reg.Counter("stall.nanos")
+	p.walRotations = reg.Counter("wal.rotations")
+	p.bgRetries = reg.Counter("bg.retries")
+	p.bgReadonly = reg.Counter("bg.readonly")
+	p.bgHealNanos = reg.Counter("bg.heal.nanos")
+	p.bgNoSpace = reg.Counter("bg.nospace")
+	p.corrDetected = reg.Counter("corruption.detected")
+	p.corrQuarantined = reg.Counter("corruption.quarantined")
+	p.scrubBlocksC = reg.Counter("scrub.blocks")
+	p.commitGroups = reg.Counter("commit.groups")
+	p.commitBatches = reg.Counter("commit.batches")
+	p.commitWait = reg.Counter("commit.wait.nanos")
+	p.groupSize = reg.Histogram("commit.group.size")
+	p.vlogAppendsC = reg.Counter("vlog.appends")
+	p.vlogResolvesC = reg.Counter("vlog.resolves")
+	p.vlogGCRewrites = reg.Counter("vlog.gc.rewrites")
+	p.vlogGCSegments = reg.Counter("vlog.gc.segments")
+	p.cond = sync.NewCond(&p.mu)
+	if err := db.fs.MkdirAll(dir); err != nil {
+		return nil, err
+	}
+	if err := p.openEngine(); err != nil {
+		return nil, err
+	}
+	if err := p.recover(); err != nil {
+		p.eng.Close()
+		return nil, err
+	}
+	if err := p.openVLog(); err != nil {
+		_ = p.walF.Close()
+		p.eng.Close()
+		return nil, err
+	}
+	p.noteOpenSuspicion()
+	p.noteVlogOpenSuspicion()
+	p.mu.Lock()
+	p.publishStateLocked()
+	p.mu.Unlock()
+	return p, nil
+}
+
+// startWorkers launches the background flush, compaction and
+// value-log GC goroutines (none with Options.InlineBackground).
+func (p *pipeline) startWorkers() {
+	if p.opt.InlineBackground {
+		return
+	}
+	p.db.wg.Add(1)
+	go p.flushWorker()
+	for i := 0; i < p.opt.CompactionThreads; i++ {
+		p.db.wg.Add(1)
+		go p.compactWorker()
+	}
+	if p.vl != nil {
+		p.db.wg.Add(1)
+		go p.vlogGCWorker()
+	}
+}
+
+func (p *pipeline) openEngine() error {
+	switch p.opt.Engine {
 	case IAM, LSA:
 		policy := core.IAM
-		if db.opt.Engine == LSA {
+		if p.opt.Engine == LSA {
 			policy = core.LSA
 		}
-		budget := db.opt.MemBudget
-		if db.opt.Engine == LSA {
+		budget := p.opt.MemBudget
+		if p.opt.Engine == LSA {
 			budget = 0 // LSA ignores the budget (appends everywhere)
 		}
 		tr, err := core.Open(core.Config{
-			FS: db.fs, Dir: db.dir, Cache: db.cache,
-			NodeCapacity: db.opt.MemtableSize, Fanout: db.opt.Fanout,
-			Policy: policy, K: db.opt.K, MemBudget: budget,
-			FixedM: db.opt.FixedM, BitsPerKey: db.opt.BitsPerKey,
-			Compression: db.opt.Compression, OnDrop: db.vlogOnDrop,
-			Events: db.events, Clock: db.clock, Trace: db.tr,
+			FS: p.db.fs, Dir: p.dir, Cache: p.cache,
+			NodeCapacity: p.opt.MemtableSize, Fanout: p.opt.Fanout,
+			Policy: policy, K: p.opt.K, MemBudget: budget,
+			FixedM: p.opt.FixedM, BitsPerKey: p.opt.BitsPerKey,
+			Compression: p.opt.Compression, OnDrop: p.vlogOnDrop,
+			Events: p.db.events, Clock: p.db.clock, Trace: p.db.tr,
 		})
 		if err != nil {
 			return err
 		}
-		db.eng = tr
+		p.eng = tr
 	case LevelDB, RocksDB:
 		profile := lsm.ProfileLevelDB
-		if db.opt.Engine == RocksDB {
+		if p.opt.Engine == RocksDB {
 			profile = lsm.ProfileRocksDB
 		}
 		d, err := lsm.Open(lsm.Config{
-			FS: db.fs, Dir: db.dir, Cache: db.cache,
-			FileSize: db.opt.FileSize, LevelSizeBase: db.opt.LevelSizeBase,
-			Fanout: db.opt.Fanout, L0CompactTrigger: db.opt.L0CompactTrigger,
-			Profile: profile, BitsPerKey: db.opt.BitsPerKey,
-			Compression: db.opt.Compression, OnDrop: db.vlogOnDrop,
-			Events: db.events, Clock: db.clock, Trace: db.tr,
+			FS: p.db.fs, Dir: p.dir, Cache: p.cache,
+			FileSize: p.opt.FileSize, LevelSizeBase: p.opt.LevelSizeBase,
+			Fanout: p.opt.Fanout, L0CompactTrigger: p.opt.L0CompactTrigger,
+			Profile: profile, BitsPerKey: p.opt.BitsPerKey,
+			Compression: p.opt.Compression, OnDrop: p.vlogOnDrop,
+			Events: p.db.events, Clock: p.db.clock, Trace: p.db.tr,
 		})
 		if err != nil {
 			return err
 		}
-		db.eng = d
+		p.eng = d
 	default:
-		return fmt.Errorf("iamdb: unknown engine %v", db.opt.Engine)
+		return fmt.Errorf("iamdb: unknown engine %v", p.opt.Engine)
 	}
 	return nil
 }
@@ -446,11 +513,11 @@ func logName(dir string, num uint64) string {
 
 // recover replays WAL files at or after the engine's recorded log
 // number, then starts a fresh log.
-func (db *DB) recover() error {
-	lastSeq, logNum := db.eng.LogMeta()
-	db.seq = lastSeq
+func (p *pipeline) recover() error {
+	lastSeq, logNum := p.eng.LogMeta()
+	p.seq = lastSeq
 
-	names, err := db.fs.List(db.dir)
+	names, err := p.db.fs.List(p.dir)
 	if err != nil {
 		return err
 	}
@@ -467,44 +534,44 @@ func (db *DB) recover() error {
 	maxLog := logNum
 	for _, num := range logs {
 		if num < logNum {
-			_ = db.fs.Remove(logName(db.dir, num)) // already flushed; best-effort cleanup
+			_ = p.db.fs.Remove(logName(p.dir, num)) // already flushed; best-effort cleanup
 			continue
 		}
 		if num > maxLog {
 			maxLog = num
 		}
-		if err := db.replayLog(num); err != nil {
+		if err := p.replayLog(num); err != nil {
 			return err
 		}
 	}
 	// Flush everything recovered so the replayed logs can be dropped.
-	if db.mem.Count() > 0 {
-		if err := db.eng.Flush(db.mem.NewIter()); err != nil {
+	if p.mem.Count() > 0 {
+		if err := p.eng.Flush(p.mem.NewIter()); err != nil {
 			return err
 		}
-		db.mem = memtable.New()
+		p.mem = memtable.New()
 	}
-	db.walNum = maxLog + 1
-	if err := db.eng.SetLogMeta(db.seq, db.walNum); err != nil {
+	p.walNum = maxLog + 1
+	if err := p.eng.SetLogMeta(p.seq, p.walNum); err != nil {
 		return err
 	}
 	for _, num := range logs {
 		// Obsolete after the flush above; a leftover log is re-deleted on
 		// the next recovery, so failure here is not fatal.
-		_ = db.fs.Remove(logName(db.dir, num))
+		_ = p.db.fs.Remove(logName(p.dir, num))
 	}
-	f, err := db.fs.Create(logName(db.dir, db.walNum))
+	f, err := p.db.fs.Create(logName(p.dir, p.walNum))
 	if err != nil {
 		return err
 	}
-	db.walF = f
-	db.walW = wal.NewWriter(f)
-	db.walW.SetSync(db.opt.SyncWrites)
+	p.walF = f
+	p.walW = wal.NewWriter(f)
+	p.walW.SetSync(p.opt.SyncWrites)
 	return nil
 }
 
-func (db *DB) replayLog(num uint64) error {
-	f, err := db.fs.Open(logName(db.dir, num))
+func (p *pipeline) replayLog(num uint64) error {
+	f, err := p.db.fs.Open(logName(p.dir, num))
 	if err != nil {
 		return err
 	}
@@ -513,24 +580,24 @@ func (db *DB) replayLog(num uint64) error {
 	// truncated, but a damaged record with valid data after it is
 	// corruption of already-acknowledged writes — it aborts the open
 	// with a typed error instead of silently dropping the suffix.
-	dropped, err := wal.ReplayAllStrict(f, logName(db.dir, num), func(rec []byte) error {
-		last, err := decodeRecordInto(rec, db.mem)
+	dropped, err := wal.ReplayAllStrict(f, logName(p.dir, num), func(rec []byte) error {
+		last, err := decodeRecordInto(rec, p.mem)
 		if err != nil {
 			return err
 		}
-		if last > db.seq {
-			db.seq = last
+		if last > p.seq {
+			p.seq = last
 		}
-		if db.mem.ApproximateSize() >= db.opt.MemtableSize {
-			if err := db.eng.Flush(db.mem.NewIter()); err != nil {
+		if p.mem.ApproximateSize() >= p.opt.MemtableSize {
+			if err := p.eng.Flush(p.mem.NewIter()); err != nil {
 				return err
 			}
-			db.mem = memtable.New()
+			p.mem = memtable.New()
 		}
 		return nil
 	})
 	if dropped > 0 {
-		db.walDrops = append(db.walDrops, walDrop{num: num, bytes: dropped})
+		p.walDrops = append(p.walDrops, walDrop{num: num, bytes: dropped})
 	}
 	return err
 }
@@ -555,40 +622,83 @@ func (db *DB) Delete(key []byte) error {
 	return db.Write(&b)
 }
 
-// Write applies a batch atomically: one WAL record, consecutive
-// sequence numbers, all-or-nothing visibility.  On a sharded DB the
-// batch is split by key range and committed under one global sequence
-// allocation, so readers still never observe part of it.
+// Write applies a batch atomically: consecutive sequence numbers and
+// all-or-nothing visibility.  A batch whose keys all belong to one
+// shard is one WAL record; one spanning shards is split by key range
+// and committed under one pre-allocated sequence range, so readers
+// still never observe part of it.
 func (db *DB) Write(b *Batch) error {
 	if b.Len() == 0 {
 		return nil
 	}
 	if !db.timing {
-		return db.writeTop(b)
+		return db.write(b)
 	}
 	start := db.clock.Now()
-	err := db.writeTop(b)
+	err := db.write(b)
 	db.putHist.Record(db.clock.Now() - start)
 	return err
 }
 
-// writeTop routes a batch to the sharded router or the local pipeline.
-func (db *DB) writeTop(b *Batch) error {
-	if db.shards != nil {
-		return db.shards.write(b)
-	}
-	return db.write(b, 0)
-}
-
-// writeAt is the shard child's commit entry point: the batch joins the
-// child's group-commit queue carrying the router-allocated sequence
-// range starting at base.
-func (db *DB) writeAt(b *Batch, base kv.Seq) error {
-	return db.write(b, base)
-}
-
 // write is Write's body; the wrapper measures commit latency (stall
 // and queue time included — the tails Sec. 6.2 measures).
+//
+// A batch on one shard (always true for Put and Delete) joins that
+// pipeline's queue and takes its sequences from the leader's group
+// ticket.  A cross-shard batch allocates one contiguous range up front
+// and carves it into per-shard contiguous sub-ranges in shard order, so
+// each pipeline reuses the ordinary batch encoding; the range is always
+// Ended (a failed sub-commit burns its part, the same gap semantics a
+// failed WAL append has), and on success the writer waits for the
+// watermark so it reads its own write.
+//
+// Failure relaxation: when a sub-commit fails partway, earlier shards'
+// sub-batches are already durable and become visible once the watermark
+// passes them — a cross-shard batch is atomic under concurrency, not
+// under mid-commit I/O failure (see DESIGN.md "Sharded front-end").
+func (db *DB) write(b *Batch) error {
+	first := db.part.IndexOf(b.ops[0].key)
+	multi := false
+	for _, op := range b.ops[1:] {
+		if db.part.IndexOf(op.key) != first {
+			multi = true
+			break
+		}
+	}
+	if !multi {
+		return db.pipes[first].write(b, 0)
+	}
+
+	t := db.seqr.Begin(b.Len())
+	subs := make([]Batch, len(db.pipes))
+	for _, op := range b.ops {
+		i := db.part.IndexOf(op.key)
+		subs[i].ops = append(subs[i].ops, op)
+	}
+	base := t.Base
+	var firstErr error
+	for i := range subs {
+		if subs[i].Len() == 0 {
+			continue
+		}
+		// Keep committing the remaining shards after a failure: their
+		// records are independently durable and the burned range only
+		// covers what actually failed.
+		if err := db.pipes[i].write(&subs[i], base); err != nil && firstErr == nil {
+			firstErr = err
+		}
+		base += kv.Seq(subs[i].Len())
+	}
+	db.seqr.End(t)
+	if firstErr != nil {
+		return firstErr
+	}
+	db.seqr.WaitVisible(t.End)
+	return nil
+}
+
+// write commits a batch through this pipeline.  base is the start of
+// a router-allocated range for a cross-shard sub-batch, or zero.
 //
 // The writer enqueues its batch and then races for commitMu.  The
 // winner is the leader: it drains everything queued so far and commits
@@ -596,32 +706,39 @@ func (db *DB) writeAt(b *Batch, base kv.Seq) error {
 // already resolved — or, if it got the lock before any leader served
 // it, becomes the leader itself.  Every op is therefore resolved by
 // exactly one leader, with no lost wakeups and no condition variable.
-func (db *DB) write(b *Batch, base kv.Seq) error {
-	db.throttle()
+func (p *pipeline) write(b *Batch, base kv.Seq) error {
+	p.throttle()
 
-	esp := db.tr.Begin("commit.enqueue")
+	esp := p.db.tr.Begin("commit.enqueue")
 	op := &commitOp{b: b, base: base}
-	db.qmu.Lock()
-	db.pendingQ = append(db.pendingQ, op)
-	db.qmu.Unlock()
+	p.qmu.Lock()
+	p.pendingQ = append(p.pendingQ, op)
+	p.qmu.Unlock()
 
 	var qstart time.Duration
-	if db.timing {
-		qstart = db.clock.Now()
+	if p.db.timing {
+		qstart = p.db.clock.Now()
 	}
-	db.commitMu.Lock()
+	p.commitMu.Lock()
 	esp.End()
-	if db.timing {
-		db.commitWait.Add(int64(db.clock.Now() - qstart))
+	if p.db.timing {
+		p.commitWait.Add(int64(p.db.clock.Now() - qstart))
 	}
 	if !op.done {
-		db.qmu.Lock()
-		group := db.pendingQ
-		db.pendingQ = nil
-		db.qmu.Unlock()
-		db.commitGroup(group)
+		p.qmu.Lock()
+		group := p.pendingQ
+		p.pendingQ = nil
+		p.qmu.Unlock()
+		p.commitGroup(group)
 	}
-	db.commitMu.Unlock()
+	p.commitMu.Unlock()
+	if op.err == nil && base == 0 {
+		// Read-your-writes: another pipeline's earlier ticket may still
+		// hold the watermark below this op.  With one pipeline, tickets
+		// end in commit order and this returns at once.  A router-placed
+		// op is waited for by the router, after its whole range ended.
+		p.db.seqr.WaitVisible(op.end)
+	}
 	return op.err
 }
 
@@ -634,97 +751,115 @@ func finishGroup(group []*commitOp, err error) {
 }
 
 // commitGroup commits every queued batch as one WAL record: the leader
-// assigns consecutive sequence ranges across the group, appends (and,
-// when SyncWrites is on, syncs) once, applies all memtable inserts
-// outside db.mu, and only then publishes the new visible sequence —
-// so a reader can never observe part of a batch, and one fsync covers
-// the whole group.  Caller holds commitMu.
-func (db *DB) commitGroup(group []*commitOp) {
-	db.mu.Lock()
-	for !db.closed && !db.readonly && db.imm != nil &&
-		db.mem.ApproximateSize() >= db.opt.MemtableSize {
-		db.cond.Wait() // both memtables full: wait for the flusher
+// takes one sequence ticket for the group, appends (and, when
+// SyncWrites is on, syncs) once, applies all memtable inserts outside
+// p.mu, and only then ends the ticket, advancing the visible watermark
+// — so a reader can never observe part of a batch, and one fsync
+// covers the whole group.  Caller holds commitMu.
+func (p *pipeline) commitGroup(group []*commitOp) {
+	p.mu.Lock()
+	for !p.closed && !p.readonly && p.imm != nil &&
+		p.mem.ApproximateSize() >= p.opt.MemtableSize {
+		p.cond.Wait() // both memtables full: wait for the flusher
 	}
-	if db.closed {
-		db.mu.Unlock()
+	if p.closed {
+		p.mu.Unlock()
 		finishGroup(group, ErrClosed)
 		return
 	}
-	if db.readonly {
+	if p.readonly {
 		// Join keeps both the mode and the cause visible to errors.Is.
-		err := errors.Join(ErrReadOnly, db.bgErr)
-		db.mu.Unlock()
+		err := errors.Join(ErrReadOnly, p.bgErr)
+		p.mu.Unlock()
 		finishGroup(group, err)
 		return
 	}
-	mem, walW := db.mem, db.walW
+	mem, walW := p.mem, p.walW
 	// A successful append below heals a previously-latched WAL error
 	// (space came back); flush/compaction errors are left for their own
 	// retry loops to clear.
 	healWal := false
-	if be, ok := db.bgErr.(*BackgroundError); ok && (be.Op == "wal" || be.Op == "vlog") {
+	if be, ok := p.bgErr.(*BackgroundError); ok && (be.Op == "wal" || be.Op == "vlog") {
 		healWal = true
 	}
-	db.mu.Unlock()
+	p.mu.Unlock()
 
-	if ctx := db.labelCommit; ctx != nil {
+	if ctx := p.db.labelCommit; ctx != nil {
 		pprof.SetGoroutineLabels(ctx)
 		defer pprof.SetGoroutineLabels(context.Background())
 	}
-	sp := db.tr.Begin("commit.group")
+	sp := p.db.tr.Begin("commit.group")
 	sp.SetCount(int64(len(group)))
 
 	// Key-value separation: move large values to the value log (synced
 	// before the WAL append carrying their pointers) and filter GC
 	// rewrites against the committed state.  See vlogdb.go.
 	var sepExtra int64
-	if db.vl != nil {
+	if p.vl != nil {
 		var err error
-		sepExtra, err = db.separateGroup(group)
+		sepExtra, err = p.separateGroup(group)
 		if err != nil {
 			sp.End()
-			db.noteCommitError("vlog", err)
+			p.noteCommitError("vlog", err)
 			finishGroup(group, err)
 			return
 		}
 	}
 
+	// One ticket covers every op the router did not place: taken after
+	// separation (GC filtering can shrink batches) and before encoding.
+	var n int
+	for _, op := range group {
+		if op.base == 0 {
+			n += op.b.Len()
+		}
+	}
+	seq := p.seq
+	next := seq + 1 // start of an empty op when the group takes no ticket
+	var t shard.Ticket
+	if n > 0 {
+		t = p.db.seqr.Begin(n)
+		next = t.Base
+	}
+
 	// One record of concatenated batch encodings; recovery decodes
-	// them back-to-back (decodeRecordInto).  Router-assigned ops carry
-	// their own (globally allocated, per-shard contiguous) start
-	// sequence; local ops take the next local range.  seq advances to
-	// the maximum end either way, so a shard's sequence counter always
-	// bounds everything in its WAL.
-	buf := db.walBuf[:0]
-	bases := db.baseBuf[:0]
-	seq := db.seq
+	// them back-to-back (decodeRecordInto).  seq advances to the largest
+	// end, so it always bounds everything in this pipeline's WAL.
+	buf := p.walBuf[:0]
+	bases := p.baseBuf[:0]
 	for _, op := range group {
 		start := op.base
 		if start == 0 {
-			start = seq + 1
+			start = next
+			next += kv.Seq(op.b.Len())
 		}
 		bases = append(bases, start)
 		buf = op.b.appendEncoded(buf, start)
-		if end := start + kv.Seq(op.b.Len()) - 1; end > seq {
-			seq = end
+		op.end = start + kv.Seq(op.b.Len()) - 1
+		if op.end > seq {
+			seq = op.end
 		}
 	}
-	db.walBuf = buf
-	db.baseBuf = bases
+	p.walBuf = buf
+	p.baseBuf = bases
 	wsp := sp.Child("commit.wal")
 	wsp.SetBytes(int64(len(buf)))
 	if err := walW.Append(buf); err != nil {
-		// The record may be partially durable; burn the sequence range
-		// so a replay after crash can never collide with a reuse.
-		db.seq = seq
+		// The record may be partially durable; ending the ticket burns
+		// its range, so a replay after crash can never collide with a
+		// reuse.
+		p.seq = seq
+		if n > 0 {
+			p.db.seqr.End(t)
+		}
 		sp.End()
-		db.noteCommitError("wal", err)
+		p.noteCommitError("wal", err)
 		finishGroup(group, err)
 		return
 	}
 	wsp.End()
 	if healWal {
-		db.noteBgSuccess()
+		p.noteBgSuccess()
 	}
 
 	asp := sp.Child("commit.apply")
@@ -738,38 +873,36 @@ func (db *DB) commitGroup(group []*commitOp) {
 		}
 		applied += int64(op.b.Len())
 	}
-	db.seq = seq
+	p.seq = seq
 	// sepExtra restores the original value bytes separation replaced
 	// with pointers, so user-byte accounting (the write-amplification
 	// denominator) stays in terms of what the user logically wrote.
 	user += sepExtra
-	db.userBytes.Add(user)
-	db.putOps.Add(applied)
-	// Publish: every record at or below seq committed by THIS pipeline
-	// is inserted, so local readers may now see the whole group.  seq
-	// never decreases (it starts at the previous db.seq), so the store
-	// is monotone.  (A sharded router ignores per-child seqA and gates
-	// visibility on the global sequencer's watermark instead, which
-	// only advances once the whole allocation prefix has committed.)
-	db.seqA.Store(uint64(seq))
+	p.userBytes.Add(user)
+	p.putOps.Add(applied)
+	// Publish: every record of the ticket is inserted, so the watermark
+	// may pass it once every earlier allocation has ended too.
+	if n > 0 {
+		p.db.seqr.End(t)
+	}
 	asp.SetCount(applied)
 	asp.End()
 
-	db.commitGroups.Inc()
-	db.commitBatches.Add(int64(len(group)))
-	db.groupSize.Record(time.Duration(len(group)))
+	p.commitGroups.Inc()
+	p.commitBatches.Add(int64(len(group)))
+	p.groupSize.Record(time.Duration(len(group)))
 	sp.SetBytes(user)
 	sp.End()
 
 	var err error
-	if mem.ApproximateSize() >= db.opt.MemtableSize {
-		db.mu.Lock()
-		if db.mem == mem && db.imm == nil && !db.closed {
-			err = db.rotateLocked()
+	if mem.ApproximateSize() >= p.opt.MemtableSize {
+		p.mu.Lock()
+		if p.mem == mem && p.imm == nil && !p.closed {
+			err = p.rotateLocked()
 		}
-		db.mu.Unlock()
-		if err == nil && db.opt.InlineBackground {
-			db.inlineBG()
+		p.mu.Unlock()
+		if err == nil && p.opt.InlineBackground {
+			p.inlineBG()
 		}
 	}
 	finishGroup(group, err)
@@ -780,12 +913,12 @@ func (db *DB) commitGroup(group []*commitOp) {
 // rotated out, then run compaction steps until the engine is settled.
 // Caller holds commitMu, so the engine locks nest under it — the
 // declared lock order covers this nesting.
-func (db *DB) inlineBG() {
-	db.drainImm()
+func (p *pipeline) inlineBG() {
+	p.drainImm()
 	for {
-		did, err := db.eng.WorkStep()
+		did, err := p.workStep()
 		if err != nil {
-			if !db.noteBgError("compact", err) {
+			if !p.noteBgError("compact", err) {
 				return
 			}
 			continue
@@ -793,7 +926,7 @@ func (db *DB) inlineBG() {
 		if !did {
 			return
 		}
-		db.noteBgSuccess()
+		p.noteBgSuccess()
 	}
 }
 
@@ -803,77 +936,83 @@ func (db *DB) inlineBG() {
 // reported as paired WriteStallBegin/WriteStallEnd events plus the
 // cumulative stall counters in Metrics; the unstalled fast path reads
 // one atomic and returns.
-func (db *DB) throttle() {
-	lvl := db.eng.StallLevel()
+func (p *pipeline) throttle() {
+	lvl := p.eng.StallLevel()
 	if lvl == 0 {
 		return
 	}
-	start := db.clock.Now()
-	sp := db.tr.Begin("write.stall")
+	start := p.db.clock.Now()
+	sp := p.db.tr.Begin("write.stall")
 	sp.SetLevel(lvl)
-	db.events.WriteStallBegin(metrics.StallInfo{Level: lvl})
-	db.stallWork(lvl)
-	d := db.clock.Now() - start
-	db.stallCount.Inc()
-	db.stallNanos.Add(int64(d))
+	p.db.events.WriteStallBegin(metrics.StallInfo{Level: lvl})
+	p.stallWork(lvl)
+	d := p.db.clock.Now() - start
+	p.stallCount.Inc()
+	p.stallNanos.Add(int64(d))
 	sp.End()
-	db.events.WriteStallEnd(metrics.StallInfo{Level: lvl, Duration: d})
+	p.db.events.WriteStallEnd(metrics.StallInfo{Level: lvl, Duration: d})
+}
+
+// workStep runs one engine compaction step under a fresh horizon.
+func (p *pipeline) workStep() (bool, error) {
+	p.refreshHorizon()
+	return p.eng.WorkStep()
 }
 
 // stallWork runs compaction steps in the stalled writer's goroutine
 // until the stall clears: a hard stall (2) works until no work is
 // left, a slowdown (1) contributes one step.
-func (db *DB) stallWork(lvl int) {
+func (p *pipeline) stallWork(lvl int) {
 	for {
 		switch lvl {
 		case 2:
-			if did, _ := db.eng.WorkStep(); !did {
+			if did, _ := p.workStep(); !did {
 				return
 			}
 		case 1:
-			db.eng.WorkStep()
+			p.workStep()
 			return
 		default:
 			return
 		}
-		lvl = db.eng.StallLevel()
+		lvl = p.eng.StallLevel()
 	}
 }
 
 // rotateLocked swaps the full memtable to the immutable slot and opens
-// a fresh WAL.  Caller holds db.mu.
-func (db *DB) rotateLocked() error {
-	newNum := db.walNum + 1
-	f, err := db.fs.Create(logName(db.dir, newNum))
+// a fresh WAL.  Caller holds p.mu.
+func (p *pipeline) rotateLocked() error {
+	newNum := p.walNum + 1
+	f, err := p.db.fs.Create(logName(p.dir, newNum))
 	if err != nil {
 		return err
 	}
 	// Close the old WAL before swapping state: a failed close may mean
 	// lost appends, and the immutable memtable would depend on them for
 	// recovery.  On failure, drop the new log and leave state untouched.
-	if err := db.walF.Close(); err != nil {
+	if err := p.walF.Close(); err != nil {
 		_ = f.Close()
-		_ = db.fs.Remove(logName(db.dir, newNum))
+		_ = p.db.fs.Remove(logName(p.dir, newNum))
 		return err
 	}
-	oldNum, oldBytes := db.walNum, db.walW.Offset()
-	db.walRetired += oldBytes
-	db.walRotations.Inc()
-	sp := db.tr.Begin("wal.rotate")
+	oldNum, oldBytes := p.walNum, p.walW.Offset()
+	p.walRetired += oldBytes
+	p.walRotations.Inc()
+	sp := p.db.tr.Begin("wal.rotate")
 	sp.SetBytes(oldBytes)
 	sp.End()
-	db.events.WALRotated(metrics.WALRotationInfo{OldNum: oldNum, NewNum: newNum, OldBytes: oldBytes})
-	db.imm = db.mem
-	db.immWalNum = db.walNum
-	db.immLastSeq = db.seq
-	db.mem = memtable.New()
-	db.publishStateLocked()
-	db.walF = f
-	db.walW = wal.NewWriter(f)
-	db.walW.SetSync(db.opt.SyncWrites)
-	db.walNum = newNum
+	p.db.events.WALRotated(metrics.WALRotationInfo{OldNum: oldNum, NewNum: newNum, OldBytes: oldBytes})
+	p.imm = p.mem
+	p.immWalNum = p.walNum
+	p.immLastSeq = p.seq
+	p.mem = memtable.New()
+	p.publishStateLocked()
+	p.walF = f
+	p.walW = wal.NewWriter(f)
+	p.walW.SetSync(p.opt.SyncWrites)
+	p.walNum = newNum
 	select {
-	case db.flushC <- struct{}{}:
+	case p.flushC <- struct{}{}:
 	default:
 	}
 	return nil
@@ -904,26 +1043,26 @@ func fileNumFromPath(path string) (uint64, bool) {
 // spreads) the damaged data.  Reads keep being served from quarantined
 // tables: intact blocks are still correct, and damaged ones keep
 // returning the typed error.
-func (db *DB) noteCorruption(err error) {
+func (p *pipeline) noteCorruption(err error) {
 	ce := AsCorruption(err)
 	if ce == nil {
 		return
 	}
-	db.corrDetected.Inc()
-	db.events.CorruptionDetected(metrics.CorruptionInfo{
+	p.corrDetected.Inc()
+	p.db.events.CorruptionDetected(metrics.CorruptionInfo{
 		Path: ce.Path, Layer: ce.Layer, Offset: ce.Offset, Detail: ce.Detail,
 	})
 	num, ok := fileNumFromPath(ce.Path)
 	if !ok {
 		return
 	}
-	q, ok := db.eng.(engine.Quarantiner)
+	q, ok := p.eng.(engine.Quarantiner)
 	if !ok {
 		return
 	}
 	if q.Quarantine(num, ce.Error()) {
-		db.corrQuarantined.Inc()
-		db.events.TableQuarantined(metrics.TableInfo{FileNum: num, Level: -1})
+		p.corrQuarantined.Inc()
+		p.db.events.TableQuarantined(metrics.TableInfo{FileNum: num, Level: -1})
 	}
 }
 
@@ -932,29 +1071,29 @@ func (db *DB) noteCorruption(err error) {
 // failed higher-generation candidate — the signature of either a crash
 // mid-commit or a rotted footer) and manifest tail bytes dropped by
 // strict replay.  Runs once from Open, before workers start.
-func (db *DB) noteOpenSuspicion() {
-	if q, ok := db.eng.(engine.Quarantiner); ok {
+func (p *pipeline) noteOpenSuspicion() {
+	if q, ok := p.eng.(engine.Quarantiner); ok {
 		for _, qi := range q.Quarantined() {
-			db.corrDetected.Inc()
-			db.corrQuarantined.Inc()
-			db.events.CorruptionDetected(metrics.CorruptionInfo{
+			p.corrDetected.Inc()
+			p.corrQuarantined.Inc()
+			p.db.events.CorruptionDetected(metrics.CorruptionInfo{
 				Path: qi.Path, Layer: corrupt.LayerTableFooter, Offset: -1, Detail: qi.Reason,
 			})
-			db.events.TableQuarantined(metrics.TableInfo{FileNum: qi.FileNum, Level: qi.Level})
+			p.db.events.TableQuarantined(metrics.TableInfo{FileNum: qi.FileNum, Level: qi.Level})
 		}
 	}
-	for _, wd := range db.walDrops {
-		db.corrDetected.Inc()
-		db.events.CorruptionDetected(metrics.CorruptionInfo{
-			Path: logName(db.dir, wd.num), Layer: corrupt.LayerWAL, Offset: -1,
+	for _, wd := range p.walDrops {
+		p.corrDetected.Inc()
+		p.db.events.CorruptionDetected(metrics.CorruptionInfo{
+			Path: logName(p.dir, wd.num), Layer: corrupt.LayerWAL, Offset: -1,
 			Detail: fmt.Sprintf("recovery truncated %d trailing bytes", wd.bytes),
 		})
 	}
-	if rd, ok := db.eng.(interface{ RecoveryDropped() int64 }); ok {
+	if rd, ok := p.eng.(interface{ RecoveryDropped() int64 }); ok {
 		if n := rd.RecoveryDropped(); n > 0 {
-			db.corrDetected.Inc()
-			db.events.CorruptionDetected(metrics.CorruptionInfo{
-				Path: db.dir, Layer: corrupt.LayerManifest, Offset: -1,
+			p.corrDetected.Inc()
+			p.db.events.CorruptionDetected(metrics.CorruptionInfo{
+				Path: p.dir, Layer: corrupt.LayerManifest, Offset: -1,
 				Detail: fmt.Sprintf("manifest replay dropped %d trailing bytes", n),
 			})
 		}
@@ -967,85 +1106,62 @@ func (db *DB) noteOpenSuspicion() {
 // foreground goroutine and gets its error back immediately — but the
 // same consecutive-failure counting degrades the DB to read-only once
 // the limit is exceeded, so a full disk stops the write path instead
-// of burning sequence ranges forever.
-func (db *DB) noteCommitError(op string, err error) {
+// of burning sequence ranges forever.  It reports the consecutive
+// failure count, or 0 when the pipeline is closed.
+func (p *pipeline) noteCommitError(op string, err error) int {
 	if errors.Is(err, vfs.ErrNoSpace) {
-		db.bgNoSpace.Inc()
+		p.bgNoSpace.Inc()
 	}
-	db.mu.Lock()
-	if db.closed {
-		db.mu.Unlock()
-		return
+	p.mu.Lock()
+	if p.closed {
+		p.mu.Unlock()
+		return 0
 	}
-	if db.bgErr == nil {
-		db.bgErrSince = int64(db.clock.Now())
+	if p.bgErr == nil {
+		p.bgErrSince = int64(p.db.clock.Now())
 	}
-	db.bgErr = &BackgroundError{Op: op, Err: err}
-	db.bgFails++
-	try := db.bgFails
-	db.bgRetries.Inc()
+	p.bgErr = &BackgroundError{Op: op, Err: err}
+	p.bgFails++
+	try := p.bgFails
+	p.bgRetries.Inc()
 	enteredRO := false
-	if !db.readonly && try > db.opt.BgRetryLimit {
-		db.readonly = true
+	if !p.readonly && try > p.opt.BgRetryLimit {
+		p.readonly = true
 		enteredRO = true
-		db.bgReadonly.Inc()
+		p.bgReadonly.Inc()
 	}
-	cause := db.bgErr
-	db.cond.Broadcast()
-	db.mu.Unlock()
-	db.events.BackgroundError(metrics.BackgroundErrorInfo{Op: op, Err: err, Retries: try})
+	cause := p.bgErr
+	p.cond.Broadcast()
+	p.mu.Unlock()
+	p.db.events.BackgroundError(metrics.BackgroundErrorInfo{Op: op, Err: err, Retries: try})
 	if enteredRO {
-		db.events.ReadOnlyEnter(metrics.ReadOnlyInfo{Cause: cause})
+		p.db.events.ReadOnlyEnter(metrics.ReadOnlyInfo{Cause: cause})
 	}
+	return try
 }
 
 // noteBgError records one failed background attempt: it latches the
-// error, counts the retry, degrades to read-only after BgRetryLimit
-// consecutive failures, asks the engine to Resume (rewrite its
+// error as noteCommitError does, asks the engine to Resume (rewrite its
 // manifest so half-applied edits are superseded before the retry), and
 // applies the backoff policy.  It reports whether the worker should
 // retry; false means the DB is closing or the backoff abandoned the
 // loop (the worker goes back to waiting for a kick).
-func (db *DB) noteBgError(op string, err error) bool {
-	if errors.Is(err, vfs.ErrNoSpace) {
-		db.bgNoSpace.Inc()
-	}
-	db.noteCorruption(err)
-	db.mu.Lock()
-	if db.closed {
-		db.mu.Unlock()
+func (p *pipeline) noteBgError(op string, err error) bool {
+	p.noteCorruption(err)
+	try := p.noteCommitError(op, err)
+	if try == 0 {
 		return false
 	}
-	if db.bgErr == nil {
-		db.bgErrSince = int64(db.clock.Now())
-	}
-	db.bgErr = &BackgroundError{Op: op, Err: err}
-	db.bgFails++
-	try := db.bgFails
-	db.bgRetries.Inc()
-	enteredRO := false
-	if !db.readonly && try > db.opt.BgRetryLimit {
-		db.readonly = true
-		enteredRO = true
-		db.bgReadonly.Inc()
-	}
-	cause := db.bgErr
-	db.cond.Broadcast()
-	db.mu.Unlock()
-	db.events.BackgroundError(metrics.BackgroundErrorInfo{Op: op, Err: err, Retries: try})
-	if enteredRO {
-		db.events.ReadOnlyEnter(metrics.ReadOnlyInfo{Cause: cause})
-	}
-	if r, ok := db.eng.(engine.Resumer); ok {
+	if r, ok := p.eng.(engine.Resumer); ok {
 		// Best-effort: a failed Resume is retried with the work itself.
 		_ = r.Resume()
 	}
-	if db.opt.BgBackoff != nil {
-		return db.opt.BgBackoff(try)
+	if p.opt.BgBackoff != nil {
+		return p.opt.BgBackoff(try)
 	}
 	d := time.Millisecond << uint(min(try, 7))
 	select {
-	case <-db.quit:
+	case <-p.db.quit:
 		return false
 	case <-time.After(d):
 		return true
@@ -1054,110 +1170,136 @@ func (db *DB) noteBgError(op string, err error) bool {
 
 // noteBgSuccess clears background-error state after a successful
 // attempt, leaving read-only mode and recording the heal duration.
-func (db *DB) noteBgSuccess() {
-	db.mu.Lock()
-	if db.bgErr == nil && !db.readonly {
-		db.mu.Unlock()
+func (p *pipeline) noteBgSuccess() {
+	p.mu.Lock()
+	if p.bgErr == nil && !p.readonly {
+		p.mu.Unlock()
 		return
 	}
-	cause := db.bgErr
-	wasRO := db.readonly
-	heal := int64(db.clock.Now()) - db.bgErrSince
-	db.bgErr, db.readonly, db.bgFails = nil, false, 0
-	db.bgHealNanos.Add(heal)
-	db.cond.Broadcast()
-	db.mu.Unlock()
+	cause := p.bgErr
+	wasRO := p.readonly
+	heal := int64(p.db.clock.Now()) - p.bgErrSince
+	p.bgErr, p.readonly, p.bgFails = nil, false, 0
+	p.bgHealNanos.Add(heal)
+	p.cond.Broadcast()
+	p.mu.Unlock()
 	if wasRO {
-		db.events.ReadOnlyExit(metrics.ReadOnlyInfo{Cause: cause, Duration: time.Duration(heal)})
+		p.db.events.ReadOnlyExit(metrics.ReadOnlyInfo{Cause: cause, Duration: time.Duration(heal)})
 	}
 }
 
-func (db *DB) flushWorker() {
-	defer db.wg.Done()
+func (p *pipeline) flushWorker() {
+	defer p.db.wg.Done()
 	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(),
 		pprof.Labels("iamdb", "flush-worker")))
 	for {
 		select {
-		case <-db.quit:
+		case <-p.db.quit:
 			return
-		case <-db.flushC:
+		case <-p.flushC:
 		}
-		db.drainImm()
+		p.drainImm()
 	}
 }
 
 // drainImm flushes the immutable memtable, retrying failures until it
 // succeeds, the backoff abandons, or the DB closes.  The worker never
 // exits on error: a healed DB resumes without reopening.
-func (db *DB) drainImm() {
+func (p *pipeline) drainImm() {
 	flushed := false // the Flush itself succeeded; only SetLogMeta remains
 	for {
-		db.mu.Lock()
-		imm := db.imm
-		immWal := db.immWalNum
-		immSeq := db.immLastSeq
-		curWal := db.walNum
-		db.mu.Unlock()
+		p.mu.Lock()
+		imm := p.imm
+		immWal := p.immWalNum
+		immSeq := p.immLastSeq
+		curWal := p.walNum
+		p.mu.Unlock()
 		if imm == nil {
 			return
 		}
 		var err error
 		if !flushed {
-			err = db.eng.Flush(imm.NewIter())
+			p.refreshHorizon()
+			err = p.eng.Flush(imm.NewIter())
 		}
 		if err == nil {
 			flushed = true
-			err = db.eng.SetLogMeta(immSeq, curWal)
+			err = p.eng.SetLogMeta(immSeq, curWal)
 		}
 		if err != nil {
-			if !db.noteBgError("flush", err) {
+			if !p.noteBgError("flush", err) {
 				return
 			}
 			continue
 		}
-		db.noteBgSuccess()
+		p.noteBgSuccess()
 		flushed = false
-		db.mu.Lock()
-		db.imm = nil
-		db.publishStateLocked()
-		db.cond.Broadcast()
-		db.mu.Unlock()
+		p.mu.Lock()
+		p.imm = nil
+		p.publishStateLocked()
+		p.cond.Broadcast()
+		p.mu.Unlock()
 		// The flushed log is re-deleted on next recovery if this
 		// best-effort removal fails.
-		_ = db.fs.Remove(logName(db.dir, immWal))
+		_ = p.db.fs.Remove(logName(p.dir, immWal))
 		select {
-		case db.compactC <- struct{}{}:
+		case p.compactC <- struct{}{}:
 		default:
 		}
 	}
 }
 
-func (db *DB) compactWorker() {
-	defer db.wg.Done()
+func (p *pipeline) compactWorker() {
+	defer p.db.wg.Done()
 	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(),
 		pprof.Labels("iamdb", "compact-worker")))
 	for {
-		did, err := db.eng.WorkStep()
+		did, err := p.workStep()
 		if err != nil {
-			if !db.noteBgError("compact", err) {
+			if !p.noteBgError("compact", err) {
 				select {
-				case <-db.quit:
+				case <-p.db.quit:
 					return
-				case <-db.compactC:
+				case <-p.compactC:
 				}
 			}
 			continue
 		}
 		if did {
-			db.noteBgSuccess()
+			p.noteBgSuccess()
 			continue
 		}
 		select {
-		case <-db.quit:
+		case <-p.db.quit:
 			return
-		case <-db.compactC:
+		case <-p.compactC:
 		}
 	}
+}
+
+// pipeDir is pipeline i's directory: the database root itself when it
+// is the only one (the unsharded on-disk layout), its shard-NNN
+// subdirectory otherwise.
+func (db *DB) pipeDir(root string, i int) string {
+	if len(db.pipes) == 1 {
+		return root
+	}
+	return shardDirName(root, i)
+}
+
+// fanout runs fn over every pipeline.  A single failure is returned
+// as is; several are joined.
+func (db *DB) fanout(fn func(*pipeline) error) error {
+	var errs []error
+	for _, p := range db.pipes {
+		if err := fn(p); err != nil {
+			errs = append(errs, err)
+		}
+	}
+	if len(errs) == 1 {
+		return errs[0]
+	}
+	return errors.Join(errs...)
 }
 
 // Resume clears background-error state once the operator believes the
@@ -1165,28 +1307,27 @@ func (db *DB) compactWorker() {
 // leaves read-only mode, and the background workers are kicked.  The
 // DB also heals itself when a background retry succeeds; Resume just
 // forces the attempt now.
-func (db *DB) Resume() error {
-	if ss := db.shards; ss != nil {
-		return ss.fanout(func(kid *DB) error { return kid.Resume() })
-	}
-	db.mu.Lock()
-	if db.closed {
-		db.mu.Unlock()
+func (db *DB) Resume() error { return db.fanout((*pipeline).resume) }
+
+func (p *pipeline) resume() error {
+	p.mu.Lock()
+	if p.closed {
+		p.mu.Unlock()
 		return ErrClosed
 	}
-	db.mu.Unlock()
-	if r, ok := db.eng.(engine.Resumer); ok {
+	p.mu.Unlock()
+	if r, ok := p.eng.(engine.Resumer); ok {
 		if err := r.Resume(); err != nil {
 			return err
 		}
 	}
-	db.noteBgSuccess()
+	p.noteBgSuccess()
 	select {
-	case db.flushC <- struct{}{}:
+	case p.flushC <- struct{}{}:
 	default:
 	}
 	select {
-	case db.compactC <- struct{}{}:
+	case p.compactC <- struct{}{}:
 	default:
 	}
 	return nil
@@ -1195,11 +1336,10 @@ func (db *DB) Resume() error {
 // CheckInvariants asks the engine to validate its structural
 // invariants (crash-recovery tests use it as an oracle); engines
 // without a checker report nil.
-func (db *DB) CheckInvariants() error {
-	if ss := db.shards; ss != nil {
-		return ss.fanout(func(kid *DB) error { return kid.CheckInvariants() })
-	}
-	if c, ok := db.eng.(engine.Checker); ok {
+func (db *DB) CheckInvariants() error { return db.fanout((*pipeline).checkInvariants) }
+
+func (p *pipeline) checkInvariants() error {
+	if c, ok := p.eng.(engine.Checker); ok {
 		return c.CheckInvariants()
 	}
 	return nil
@@ -1251,30 +1391,35 @@ func (db *DB) get(key []byte) ([]byte, error) {
 	return finishGet(v, kind)
 }
 
-// getRaw resolves key against the lock-free read snapshot: the visible
-// sequence is loaded first, then the state pointer.  The state may be
-// newer than the sequence but never older, and records only move down
-// the hierarchy, so the pair is always a consistent view that cannot
-// expose part of a batch.  The returned value aliases internal storage
-// and must be copied before the call returns to the user.
+// getRaw resolves key at the current watermark.  The returned value
+// aliases internal storage and must be copied before the call returns
+// to the user.
 func (db *DB) getRaw(key []byte) ([]byte, kv.Kind, error) {
 	if db.closedA.Load() {
 		return nil, 0, ErrClosed
 	}
 	db.getOps.Add(1)
-	if ss := db.shards; ss != nil {
-		return ss.get(key)
-	}
-	snap := kv.Seq(db.seqA.Load())
-	st := db.state.Load()
-	v, kind, err := db.getRawAt(key, snap, st.mem, st.imm)
+	return db.getAt(key, db.seqr.Visible())
+}
+
+// getAt resolves key at sequence snap against the owning pipeline's
+// lock-free read view: snap must have been loaded before the state
+// pointer is.  The state may be newer than the sequence but never
+// older, and records only move down the hierarchy, so the pair is a
+// consistent view — and since no incomplete allocation sits at or
+// below the watermark, it cannot expose part of a batch.  Pointer
+// records resolve through the owning pipeline's value log.
+func (db *DB) getAt(key []byte, snap kv.Seq) ([]byte, kv.Kind, error) {
+	p := db.pipes[db.part.IndexOf(key)]
+	st := p.state.Load()
+	v, kind, err := p.getRawAt(key, snap, st.mem, st.imm)
 	if err != nil {
 		return nil, 0, err
 	}
-	return db.maybeResolve(key, v, kind)
+	return p.maybeResolve(key, v, kind)
 }
 
-func (db *DB) getRawAt(key []byte, snap kv.Seq, mem, imm *memtable.MemTable) ([]byte, kv.Kind, error) {
+func (p *pipeline) getRawAt(key []byte, snap kv.Seq, mem, imm *memtable.MemTable) ([]byte, kv.Kind, error) {
 	if v, kind, _, found := mem.Get(key, snap); found {
 		return v, kind, nil
 	}
@@ -1283,9 +1428,9 @@ func (db *DB) getRawAt(key []byte, snap kv.Seq, mem, imm *memtable.MemTable) ([]
 			return v, kind, nil
 		}
 	}
-	v, kind, _, found, err := db.eng.Get(key, snap)
+	v, kind, _, found, err := p.eng.Get(key, snap)
 	if err != nil {
-		db.noteCorruption(err)
+		p.noteCorruption(err)
 		return nil, 0, err
 	}
 	if !found {
@@ -1304,9 +1449,6 @@ func finishGet(v []byte, kind kv.Kind) ([]byte, error) {
 // Close flushes nothing (recovery replays the WAL), stops background
 // work and releases resources.
 func (db *DB) Close() error {
-	if db.shards != nil {
-		return db.closeSharded()
-	}
 	db.mu.Lock()
 	if db.closed {
 		db.mu.Unlock()
@@ -1314,47 +1456,54 @@ func (db *DB) Close() error {
 	}
 	db.closed = true
 	db.closedA.Store(true)
-	db.cond.Broadcast()
 	db.mu.Unlock()
+	for _, p := range db.pipes {
+		p.mu.Lock()
+		p.closed = true
+		p.cond.Broadcast()
+		p.mu.Unlock()
+	}
 	close(db.quit)
 	if db.debugSrv != nil {
 		// Unblocks the Serve goroutine so wg.Wait below can finish.
 		_ = db.debugSrv.Close()
 	}
 	db.wg.Wait()
+	return db.fanout((*pipeline).closeFiles)
+}
+
+// closeFiles releases the pipeline's files once no worker runs.
+func (p *pipeline) closeFiles() error {
 	// Barrier: wait out any in-flight commit leader so the WAL writer
 	// is idle before closing it.  Leaders that acquire commitMu later
-	// observe closed under db.mu and never touch the WAL.
-	db.commitMu.Lock()
-	db.commitMu.Unlock()
-	return errors.Join(db.walF.Close(), db.closeVlog(), db.eng.Close())
+	// observe closed under p.mu and never touch the WAL.
+	p.commitMu.Lock()
+	p.commitMu.Unlock()
+	return errors.Join(p.walF.Close(), p.closeVlog(), p.eng.Close())
 }
 
 // CompactAll flushes both memtables and settles every pending
 // compaction — the paper's "tuning phase" run to completion.  Used by
 // experiments before measuring stable performance.
-func (db *DB) CompactAll() error {
-	if ss := db.shards; ss != nil {
-		return ss.fanout(func(kid *DB) error { return kid.CompactAll() })
-	}
-	if err := db.Flush(); err != nil {
+func (db *DB) CompactAll() error { return db.fanout((*pipeline).compactAll) }
+
+func (p *pipeline) compactAll() error {
+	if err := p.flush(); err != nil {
 		return err
 	}
-	if d, ok := db.eng.(*lsm.DB); ok {
+	if d, ok := p.eng.(*lsm.DB); ok {
+		p.refreshHorizon()
 		return d.DrainCompactions()
 	}
 	return nil
 }
 
 // MixedLevel reports IAM's current (m, k) tuning; zero for baselines.
-// Shards tune independently; a sharded DB reports shard 0 (use
-// ShardMetrics-style per-shard access via the debug endpoints for the
-// rest).
-func (db *DB) MixedLevel() (m, k int) {
-	if ss := db.shards; ss != nil {
-		return ss.kids[0].MixedLevel()
-	}
-	if tr, ok := db.eng.(*core.Tree); ok {
+// Shards tune independently; a sharded DB reports shard 0.
+func (db *DB) MixedLevel() (m, k int) { return db.pipes[0].mixedLevel() }
+
+func (p *pipeline) mixedLevel() (m, k int) {
+	if tr, ok := p.eng.(*core.Tree); ok {
 		return tr.MixedLevel()
 	}
 	return 0, 0
@@ -1363,67 +1512,66 @@ func (db *DB) MixedLevel() (m, k int) {
 // Flush forces the current memtable into the tree, waiting for the
 // flush to finish.  Reads are unaffected; use it before measuring
 // on-disk state or creating external copies.
-func (db *DB) Flush() error {
-	if ss := db.shards; ss != nil {
-		return ss.fanout(func(kid *DB) error { return kid.Flush() })
-	}
-	db.commitMu.Lock()
-	defer db.commitMu.Unlock()
-	if db.opt.InlineBackground {
+func (db *DB) Flush() error { return db.fanout((*pipeline).flush) }
+
+func (p *pipeline) flush() error {
+	p.commitMu.Lock()
+	defer p.commitMu.Unlock()
+	if p.opt.InlineBackground {
 		// No workers in inline mode: drain any leftover immutable
 		// memtable (e.g. from an earlier failed Flush) ourselves.
-		db.inlineBG()
+		p.inlineBG()
 	}
-	db.mu.Lock()
-	for db.imm != nil && !db.closed && !db.readonly {
-		db.cond.Wait()
+	p.mu.Lock()
+	for p.imm != nil && !p.closed && !p.readonly {
+		p.cond.Wait()
 	}
-	if db.closed {
-		db.mu.Unlock()
+	if p.closed {
+		p.mu.Unlock()
 		return ErrClosed
 	}
-	if db.readonly {
-		err := errors.Join(ErrReadOnly, db.bgErr)
-		db.mu.Unlock()
+	if p.readonly {
+		err := errors.Join(ErrReadOnly, p.bgErr)
+		p.mu.Unlock()
 		return err
 	}
-	if db.mem.Count() == 0 {
-		db.mu.Unlock()
+	if p.mem.Count() == 0 {
+		p.mu.Unlock()
 		return nil
 	}
 	// Move the memtable through the same immutable-slot pipeline as
 	// automatic flushes: a failed engine flush then keeps the data
 	// readable (and retried) in the immutable memtable instead of
 	// dropping acknowledged writes on the floor.
-	err := db.rotateLocked()
-	db.mu.Unlock()
+	err := p.rotateLocked()
+	p.mu.Unlock()
 	if err != nil {
 		// The memtable is still in place; count the failure like any
 		// other commit-path fault so a full disk degrades the store
 		// instead of failing opaquely forever.
-		db.noteCommitError("wal", err)
+		p.noteCommitError("wal", err)
 		return err
 	}
-	if db.opt.InlineBackground {
-		db.inlineBG()
+	if p.opt.InlineBackground {
+		p.inlineBG()
 	}
-	db.mu.Lock()
-	for db.imm != nil && !db.closed && !db.readonly && db.bgErr == nil {
-		db.cond.Wait()
+	p.mu.Lock()
+	for p.imm != nil && !p.closed && !p.readonly && p.bgErr == nil {
+		p.cond.Wait()
 	}
 	switch {
-	case db.imm == nil:
+	case p.imm == nil:
 		err = nil
-	case db.readonly:
-		err = errors.Join(ErrReadOnly, db.bgErr)
-	case db.bgErr != nil:
+	case p.readonly:
+		err = errors.Join(ErrReadOnly, p.bgErr)
+	case p.bgErr != nil:
 		// The flush attempt failed; the background worker keeps
 		// retrying with the data safe in the immutable memtable.
-		err = db.bgErr
+		err = p.bgErr
 	default:
 		err = ErrClosed
 	}
-	db.mu.Unlock()
+	p.mu.Unlock()
 	return err
 }
 
@@ -1432,15 +1580,11 @@ func (db *DB) Flush() error {
 // estimate counts whole nodes inside the range and half of each node
 // straddling a boundary.
 func (db *DB) ApproximateSize(start, limit []byte) int64 {
-	if ss := db.shards; ss != nil {
-		var total int64
-		for _, kid := range ss.kids {
-			total += kid.ApproximateSize(start, limit)
+	var total int64
+	for _, p := range db.pipes {
+		if rs, ok := p.eng.(engine.RangeSizer); ok {
+			total += rs.ApproximateSize(start, limit)
 		}
-		return total
 	}
-	if rs, ok := db.eng.(engine.RangeSizer); ok {
-		return rs.ApproximateSize(start, limit)
-	}
-	return 0
+	return total
 }

@@ -157,22 +157,20 @@ func (db *DB) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
 
 func (db *DB) handleDebugLevels(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if ss := db.shards; ss != nil {
-		// Aggregate headline, then every shard's own tree.  The
-		// single-shard rendering below is byte-identical to what it was
-		// before sharding existed.
-		m := db.Metrics()
-		fmt.Fprintf(w, "engine %v, %d shards\n", db.opt.Engine, len(ss.kids))
-		fmt.Fprintf(w, "memtable %.1f MB (+%d immutable)  space used %.1f MB, write amplification %.2f\n",
-			mb(m.MemtableBytes), m.ImmutableMemtables, mb(m.SpaceUsed), m.WriteAmplification())
-		for i, kid := range ss.kids {
-			lo, hi := db.ShardRange(i)
-			fmt.Fprintf(w, "\n-- shard %03d [%s, %s) --\n", i, shardBound(lo, "-inf"), shardBound(hi, "+inf"))
-			kid.writeDebugLevels(w)
-		}
+	if len(db.pipes) == 1 {
+		db.writeDebugLevels(w, 0)
 		return
 	}
-	db.writeDebugLevels(w)
+	// Aggregate headline, then every shard's own tree.
+	m := db.Metrics()
+	fmt.Fprintf(w, "engine %v, %d shards\n", db.opt.Engine, len(db.pipes))
+	fmt.Fprintf(w, "memtable %.1f MB (+%d immutable)  space used %.1f MB, write amplification %.2f\n",
+		mb(m.MemtableBytes), m.ImmutableMemtables, mb(m.SpaceUsed), m.WriteAmplification())
+	for i := range db.pipes {
+		lo, hi := db.ShardRange(i)
+		fmt.Fprintf(w, "\n-- shard %03d [%s, %s) --\n", i, shardBound(lo, "-inf"), shardBound(hi, "+inf"))
+		db.writeDebugLevels(w, i)
+	}
 }
 
 // shardBound renders a shard range endpoint for operator output.
@@ -183,11 +181,12 @@ func shardBound(b []byte, unbounded string) string {
 	return fmt.Sprintf("%q", b)
 }
 
-// writeDebugLevels renders this store's per-level tree view.
-func (db *DB) writeDebugLevels(w io.Writer) {
-	m := db.Metrics()
+// writeDebugLevels renders shard i's per-level tree view.
+func (db *DB) writeDebugLevels(w io.Writer, i int) {
+	m := db.ShardMetrics(i)
+	p := db.pipes[i]
 	fmt.Fprintf(w, "engine %v", db.opt.Engine)
-	if mm, k := db.MixedLevel(); mm > 0 {
+	if mm, k := p.mixedLevel(); mm > 0 {
 		fmt.Fprintf(w, "  (mixed level m=%d, k=%d)", mm, k)
 	}
 	fmt.Fprintf(w, "\nmemtable %.1f MB (+%d immutable)\n",
@@ -208,7 +207,7 @@ func (db *DB) writeDebugLevels(w io.Writer) {
 	}
 	fmt.Fprintf(w, "space used %.1f MB, write amplification %.2f\n",
 		mb(m.SpaceUsed), m.WriteAmplification())
-	if q, ok := db.eng.(engine.Quarantiner); ok {
+	if q, ok := p.eng.(engine.Quarantiner); ok {
 		if qs := q.Quarantined(); len(qs) > 0 {
 			fmt.Fprintf(w, "\nquarantined tables (%d):\n", len(qs))
 			for _, qi := range qs {

@@ -17,7 +17,8 @@ import (
 // Partition is an immutable description of a range partitioning: N
 // shards separated by N-1 strictly increasing split keys.  Shard i
 // owns user keys k with splits[i-1] <= k < splits[i] (shard 0 starts
-// at the empty key, the last shard is unbounded above).
+// at the empty key, the last shard is unbounded above).  The zero
+// Partition is a single range: every key routes to shard 0.
 type Partition struct {
 	splits [][]byte
 }

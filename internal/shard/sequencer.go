@@ -7,19 +7,20 @@ import (
 	"iamdb/internal/kv"
 )
 
-// Sequencer allocates global sequence ranges to cross-shard commits
-// and tracks the visible watermark: the end of the longest prefix of
-// allocations whose commits have fully completed.  Readers take the
-// watermark as their snapshot, so a batch spanning shards becomes
-// visible atomically — every record of a ticket at or below the
-// watermark has been applied to its shard's memtable, and no record of
-// any incomplete ticket is at or below it (ranges are contiguous and
-// allocated in order).
+// Sequencer allocates sequence ranges and tracks the visible
+// watermark: the end of the longest prefix of allocations whose commits
+// have fully completed.  It is the only source of sequence numbers in
+// a DB, whatever its shard count: commit leaders take one ticket per
+// group, and a batch spanning shards takes one range it carves into
+// per-shard sub-ranges.  Readers take the watermark as their snapshot,
+// so a batch spanning shards becomes visible atomically — every record
+// of a ticket at or below the watermark has been applied to its shard's
+// memtable, and no record of any incomplete ticket is at or below it
+// (ranges are contiguous and allocated in order).
 //
 // A ticket MUST be ended even when its commit failed: a leaked ticket
 // stalls the watermark forever.  A failed commit's sequence range then
-// reads as burned — the same gap semantics the single-tree commit path
-// already has for failed WAL appends.
+// reads as burned — the same gap semantics a failed WAL append has.
 type Sequencer struct {
 	// visibleA is the watermark, readable without the mutex.
 	visibleA atomic.Uint64
@@ -28,16 +29,24 @@ type Sequencer struct {
 	// is ever acquired while it is held.
 	//
 	//iamlint:lockorder Sequencer.mu leaf
-	mu      sync.Mutex
-	cond    *sync.Cond
-	last    kv.Seq    // last allocated sequence number
-	pending []*Ticket // outstanding allocations, FIFO
+	mu   sync.Mutex
+	cond *sync.Cond
+	last kv.Seq // last allocated sequence number
+	// pending lists outstanding allocations, FIFO.  Entries are values
+	// and completed ones are compacted to the front of the same backing
+	// array, so a steady Begin/End cycle allocates nothing.
+	pending []pendingTicket
 }
 
 // Ticket is one contiguous sequence-range allocation [Base, End].
 type Ticket struct {
 	Base, End kv.Seq
-	done      bool
+}
+
+// pendingTicket is an outstanding allocation, identified by its End.
+type pendingTicket struct {
+	end  kv.Seq
+	done bool
 }
 
 // NewSequencer starts allocation after start (the recovered maximum
@@ -49,28 +58,37 @@ func NewSequencer(start kv.Seq) *Sequencer {
 	return s
 }
 
-// Begin allocates the next n sequence numbers as one ticket.
-func (s *Sequencer) Begin(n int) *Ticket {
+// Begin allocates the next n sequence numbers as one ticket.  n must be
+// positive: an empty ticket would share its End with the previous one.
+func (s *Sequencer) Begin(n int) Ticket {
+	if n < 1 {
+		panic("shard: Sequencer.Begin of an empty range")
+	}
 	s.mu.Lock()
-	t := &Ticket{Base: s.last + 1, End: s.last + kv.Seq(n)}
+	t := Ticket{Base: s.last + 1, End: s.last + kv.Seq(n)}
 	s.last = t.End
-	s.pending = append(s.pending, t)
+	s.pending = append(s.pending, pendingTicket{end: t.End})
 	s.mu.Unlock()
 	return t
 }
 
 // End marks the ticket's commits complete (applied or abandoned) and
 // advances the watermark past every completed prefix ticket.
-func (s *Sequencer) End(t *Ticket) {
+func (s *Sequencer) End(t Ticket) {
 	s.mu.Lock()
-	t.done = true
-	advanced := false
-	for len(s.pending) > 0 && s.pending[0].done {
-		s.visibleA.Store(uint64(s.pending[0].End))
-		s.pending = s.pending[1:]
-		advanced = true
+	for i := range s.pending {
+		if s.pending[i].end == t.End {
+			s.pending[i].done = true
+			break
+		}
 	}
-	if advanced {
+	k := 0
+	for k < len(s.pending) && s.pending[k].done {
+		k++
+	}
+	if k > 0 {
+		s.visibleA.Store(uint64(s.pending[k-1].end))
+		s.pending = s.pending[:copy(s.pending, s.pending[k:])]
 		s.cond.Broadcast()
 	}
 	s.mu.Unlock()
@@ -82,7 +100,7 @@ func (s *Sequencer) Visible() kv.Seq {
 	return kv.Seq(s.visibleA.Load())
 }
 
-// WaitVisible blocks until the watermark reaches seq — the router's
+// WaitVisible blocks until the watermark reaches seq — a writer's
 // read-your-writes barrier after a commit.
 func (s *Sequencer) WaitVisible(seq kv.Seq) {
 	if kv.Seq(s.visibleA.Load()) >= seq {
@@ -93,12 +111,4 @@ func (s *Sequencer) WaitVisible(seq kv.Seq) {
 		s.cond.Wait()
 	}
 	s.mu.Unlock()
-}
-
-// Last reports the last allocated sequence number (for bookkeeping;
-// racy with concurrent Begin by nature).
-func (s *Sequencer) Last() kv.Seq {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.last
 }

@@ -19,16 +19,16 @@ import (
 // Key and Value return copies safe to retain.
 type Iterator struct {
 	db   *DB
-	in   iterator.Iterator
+	in   *shardConcat
 	snap kv.Seq
 	key  []byte
 	val  []byte
 	// vkind is the raw kind behind val: a KindValuePtr val is a value-log
 	// pointer that Value resolves lazily — scans that never call Value on
-	// a key pay nothing for its large value — against vdb, the store
-	// owning the log (the shard the record came from on a sharded scan).
+	// a key pay nothing for its large value — against vpipe, the
+	// pipeline the record came from.
 	vkind    kv.Kind
-	vdb      *DB
+	vpipe    *pipeline
 	valid    bool
 	err      error
 	backward bool
@@ -37,30 +37,38 @@ type Iterator struct {
 
 // NewIterator returns an iterator over the DB at the current sequence
 // number.  A scan merges both memtables and, per level, every sequence
-// of at most one node (Sec. 5.2).  On a sharded DB the sequence is the
-// global watermark and the scan concatenates the shards' disjoint
-// ranges in key order, forward and backward.
+// of at most one node (Sec. 5.2).  On a sharded DB the scan
+// concatenates the shards' disjoint ranges in key order, forward and
+// backward.
 func (db *DB) NewIterator() *Iterator {
-	return db.newIteratorAt(db.visibleSeq())
+	db.snapMu.Lock()
+	defer db.snapMu.Unlock()
+	return db.newIteratorAt(db.seqr.Visible())
 }
 
-// newIteratorAt builds the merged iterator from the lock-free read
-// snapshot — the sequence must have been loaded before the state so
-// the view covers it (see getRaw).
+// newIteratorAt builds the merged iterator from the read views at snap:
+// the sequence must have been loaded before the states so the view
+// covers it (see getAt).  The caller holds snapMu or a snapshot at
+// snap, so no engine job can take a horizon above snap and drop a
+// version the view needs while the views are captured.  Each pipeline
+// counts the open iterator before its state is loaded: pointers a live
+// view captured must stay resolvable, so value-log segment deletion
+// waits for it.
 func (db *DB) newIteratorAt(snap kv.Seq) *Iterator {
-	db.iterAcquire()
-	if ss := db.shards; ss != nil {
-		return &Iterator{db: db, in: ss.newInner(), snap: snap}
+	kids := make([]iterator.ReverseIterator, len(db.pipes))
+	for i, p := range db.pipes {
+		p.iterOpen.Add(1)
+		st := p.state.Load()
+		sub := []iterator.Iterator{st.mem.NewIter()}
+		if st.imm != nil {
+			sub = append(sub, st.imm.NewIter())
+		}
+		sub = append(sub, p.eng.NewIter())
+		kids[i] = iterator.NewMerging(kv.CompareInternal, sub...)
 	}
-	st := db.state.Load()
-	kids := []iterator.Iterator{st.mem.NewIter()}
-	if st.imm != nil {
-		kids = append(kids, st.imm.NewIter())
-	}
-	kids = append(kids, db.eng.NewIter())
 	return &Iterator{
 		db:   db,
-		in:   iterator.NewMerging(kv.CompareInternal, kids...),
+		in:   &shardConcat{part: db.part, kids: kids, pipes: db.pipes, cur: -1},
 		snap: snap,
 	}
 }
@@ -142,24 +150,13 @@ func (it *Iterator) advance(skipKey []byte) {
 		it.key = append(it.key[:0], u...)
 		it.val = append(it.val[:0], it.in.Value()...)
 		it.vkind = kind
-		it.vdb = it.valueOwner()
+		it.vpipe = it.in.pipes[it.in.cur]
 		it.valid = true
 		return
 	}
 	if err := it.in.Err(); err != nil {
 		it.err = err
 	}
-}
-
-// valueOwner is the DB whose value log resolves the current position's
-// pointer records: the owning shard on a sharded scan (captured while
-// the inner iterator still rests on the record), the DB itself
-// otherwise.
-func (it *Iterator) valueOwner() *DB {
-	if sc, ok := it.in.(*shardConcat); ok && sc.cur >= 0 {
-		return sc.dbs[sc.cur]
-	}
-	return it.db
 }
 
 // Valid reports whether the iterator is positioned at a live entry.
@@ -175,7 +172,7 @@ func (it *Iterator) Key() []byte { return it.key }
 // through Err.
 func (it *Iterator) Value() []byte {
 	if it.valid && it.vkind == kv.KindValuePtr {
-		v, err := it.vdb.resolvePointer(it.key, it.val)
+		v, err := it.vpipe.resolvePointer(it.key, it.val)
 		if err != nil {
 			it.err = err
 			it.valid = false
@@ -196,6 +193,8 @@ func (it *Iterator) Close() error {
 		return nil
 	}
 	it.closed = true
-	it.db.iterRelease()
+	for _, p := range it.db.pipes {
+		p.iterRelease()
+	}
 	return it.in.Close()
 }

@@ -125,96 +125,111 @@ func (m Metrics) MeanCommitGroupSize() float64 {
 // the shared filesystem counters); ShardMetrics exposes the per-shard
 // views.
 func (db *DB) Metrics() Metrics {
-	if ss := db.shards; ss != nil {
-		return ss.metrics(db)
-	}
-	st := db.state.Load()
-	memBytes := st.mem.ApproximateSize()
-	imm := 0
-	if st.imm != nil {
-		imm = 1
-	}
-	db.mu.Lock()
-	walNum := db.walNum
-	walBytes := db.walRetired
-	if db.walW != nil {
-		walBytes += db.walW.Offset()
-	}
-	db.mu.Unlock()
-	rate, _, _ := db.cache.HitRate()
-	space := db.eng.SpaceUsed()
-	var vstats vlogStats
-	if db.vl != nil {
-		vs := db.vl.Stats()
-		vstats = vlogStats{
-			segments: vs.Segments, bytes: vs.Bytes, discard: vs.DiscardBytes,
+	m := metricsOf(db.pipes)
+	m.IO = db.io.Snapshot()
+	m.Put = db.putHist.Summary()
+	m.Get = db.getHist.Summary()
+	m.Scan = db.scanHist.Summary()
+	return m
+}
+
+// ShardMetrics returns shard i's own metrics snapshot (DB.Metrics is
+// the aggregate; on an unsharded DB shard 0 is the whole store).  The
+// operation latency digests time whole DB operations, so they are left
+// zero here, and IO is the shared device total.  It panics unless
+// 0 <= i < NumShards().
+func (db *DB) ShardMetrics(i int) Metrics {
+	m := metricsOf(db.pipes[i : i+1])
+	m.IO = db.io.Snapshot()
+	return m
+}
+
+// metricsOf aggregates pipelines into one snapshot: per-level
+// structure and traffic merged by level index, sizes and counters
+// summed, cache hit rate recomputed from pooled lookups, and
+// commit-group-size histograms merged.
+func metricsOf(pipes []*pipeline) Metrics {
+	var m Metrics
+	group := histogram.New()
+	var hits, lookups int64
+	for _, p := range pipes {
+		st := p.state.Load()
+		m.MemtableBytes += st.mem.ApproximateSize()
+		if st.imm != nil {
+			m.ImmutableMemtables++
 		}
-		space += db.vl.SpaceUsed()
+		p.mu.Lock()
+		m.WALNum = max(m.WALNum, p.walNum)
+		m.WALBytes += p.walRetired + p.walW.Offset()
+		p.mu.Unlock()
+		m.WALRotations += p.walRotations.Load()
+		mergeEngineStats(&m.Engine, p.eng.Stats())
+		m.Levels = mergeLevelInfos(m.Levels, p.eng.Levels())
+		m.SpaceUsed += p.eng.SpaceUsed()
+		if p.vl != nil {
+			vs := p.vl.Stats()
+			m.VLogSegments += vs.Segments
+			m.VLogBytes += vs.Bytes
+			m.VLogDiscardBytes += vs.DiscardBytes
+			m.SpaceUsed += p.vl.SpaceUsed()
+		}
+		m.VLogAppends += p.vlogAppendsC.Load()
+		m.VLogResolves += p.vlogResolvesC.Load()
+		m.VLogGCSegments += p.vlogGCSegments.Load()
+		m.UserBytes += p.userBytes.Load()
+		_, h, miss := p.cache.HitRate()
+		hits += h
+		lookups += h + miss
+		m.StallCount += p.stallCount.Load()
+		m.StallTime += time.Duration(p.stallNanos.Load())
+		m.CorruptionsDetected += p.corrDetected.Load()
+		m.TablesQuarantined += p.corrQuarantined.Load()
+		m.ScrubBlocks += p.scrubBlocksC.Load()
+		m.NoSpaceErrors += p.bgNoSpace.Load()
+		m.CommitGroups += p.commitGroups.Load()
+		m.CommitBatches += p.commitBatches.Load()
+		m.CommitWait += time.Duration(p.commitWait.Load())
+		group.Merge(p.groupSize.Snapshot())
 	}
-	return Metrics{
-		Engine:              db.eng.Stats(),
-		Levels:              db.eng.Levels(),
-		SpaceUsed:           space,
-		VLogSegments:        vstats.segments,
-		VLogBytes:           vstats.bytes,
-		VLogDiscardBytes:    vstats.discard,
-		VLogAppends:         db.vlogAppendsC.Load(),
-		VLogResolves:        db.vlogResolvesC.Load(),
-		VLogGCSegments:      db.vlogGCSegments.Load(),
-		UserBytes:           db.userBytes.Load(),
-		CacheHitRate:        rate,
-		MemtableBytes:       memBytes,
-		ImmutableMemtables:  imm,
-		WALNum:              walNum,
-		WALBytes:            walBytes,
-		WALRotations:        db.walRotations.Load(),
-		IO:                  db.io.Snapshot(),
-		StallCount:          db.stallCount.Load(),
-		StallTime:           time.Duration(db.stallNanos.Load()),
-		CorruptionsDetected: db.corrDetected.Load(),
-		TablesQuarantined:   db.corrQuarantined.Load(),
-		ScrubBlocks:         db.scrubBlocksC.Load(),
-		NoSpaceErrors:       db.bgNoSpace.Load(),
-		CommitGroups:        db.commitGroups.Load(),
-		CommitBatches:       db.commitBatches.Load(),
-		CommitWait:          time.Duration(db.commitWait.Load()),
-		GroupSize:           db.groupSize.Summary(),
-		Put:                 db.putHist.Summary(),
-		Get:                 db.getHist.Summary(),
-		Scan:                db.scanHist.Summary(),
+	if lookups > 0 {
+		m.CacheHitRate = float64(hits) / float64(lookups)
 	}
+	m.GroupSize = group.Summary()
+	return m
 }
 
 // SampleCumulative gathers the monotone counters a Sampler diffs into
 // timeline windows: operation and stall totals, device and per-level
 // traffic, cache lookups, commit pipeline counts and the put-latency
-// histogram.  It holds no DB locks beyond the engine's own stats lock.
+// histogram.  It holds no DB locks beyond the engines' own stats locks.
 func (db *DB) SampleCumulative() metrics.Cumulative {
-	if ss := db.shards; ss != nil {
-		return ss.sampleCumulative(db)
+	var w, r []int64
+	c := metrics.Cumulative{Ops: db.getOps.Load()}
+	for _, p := range db.pipes {
+		st := p.eng.Stats()
+		for len(w) < len(st.PerLevel) {
+			w = append(w, 0)
+			r = append(r, 0)
+		}
+		for i, ls := range st.PerLevel {
+			w[i] += ls.WriteBytes
+			r[i] += ls.ReadBytes
+		}
+		c.Ops += p.putOps.Load()
+		c.StallNanos += p.stallNanos.Load()
+		_, hits, misses := p.cache.HitRate()
+		c.CacheHits += hits
+		c.CacheLookups += hits + misses
+		c.CommitGroups += p.commitGroups.Load()
+		c.CommitBatches += p.commitBatches.Load()
 	}
-	st := db.eng.Stats()
-	w := make([]int64, len(st.PerLevel))
-	r := make([]int64, len(st.PerLevel))
-	for i, ls := range st.PerLevel {
-		w[i] = ls.WriteBytes
-		r[i] = ls.ReadBytes
-	}
-	_, hits, misses := db.cache.HitRate()
 	io := db.io.Snapshot()
-	return metrics.Cumulative{
-		Ops:           db.putOps.Load() + db.getOps.Load(),
-		StallNanos:    db.stallNanos.Load(),
-		WriteBytes:    io.BytesWritten,
-		ReadBytes:     io.BytesRead,
-		PerLevelWrite: w,
-		PerLevelRead:  r,
-		CacheHits:     hits,
-		CacheLookups:  hits + misses,
-		CommitGroups:  db.commitGroups.Load(),
-		CommitBatches: db.commitBatches.Load(),
-		Put:           db.putHist.Snapshot(),
-	}
+	c.WriteBytes = io.BytesWritten
+	c.ReadBytes = io.BytesRead
+	c.PerLevelWrite = w
+	c.PerLevelRead = r
+	c.Put = db.putHist.Snapshot()
+	return c
 }
 
 // NewSampler attaches a timeline sampler: windowed deltas of the DB's
@@ -247,14 +262,6 @@ func (db *DB) Timeline() []TimelinePoint {
 func (db *DB) Trace() *TraceRecorder { return db.tr }
 
 func mb(n int64) float64 { return float64(n) / (1 << 20) }
-
-// vlogStats is the snapshot scratch Metrics uses so the struct literal
-// stays flat.
-type vlogStats struct {
-	segments int
-	bytes    int64
-	discard  int64
-}
 
 // String renders the snapshot as a LevelDB-`leveldb.stats`-style
 // report: one row per level plus totals and summary lines.

@@ -175,12 +175,15 @@ type Options struct {
 	CompactionThreads int
 
 	// Shards, when > 1, range-partitions the keyspace across that many
-	// fully independent shards — each with its own WAL, memtable,
-	// engine instance and commit pipeline — behind this one DB (see
-	// DESIGN.md "Sharded front-end").  The shard layout is recorded in
-	// a SHARDS marker file at the database root; reopening adopts the
-	// recorded layout, and opening with a conflicting explicit layout
-	// fails.  0 or 1 means the classic single-tree database.
+	// commit pipelines — each with its own WAL, memtable, engine
+	// instance and commit queue in a shard-NNN subdirectory — behind
+	// this one DB, with one sequence source keeping cross-shard batches
+	// atomic (see DESIGN.md "Sharded front-end").  The shard layout is
+	// recorded in a SHARDS marker file at the database root; reopening
+	// adopts the recorded layout, and opening with a conflicting
+	// explicit layout fails.  0 or 1 means one pipeline in the database
+	// directory itself, with no marker.  The block cache and IAM memory
+	// budget are divided across the shards.
 	Shards int
 
 	// ShardSplits overrides the default equal-width first-byte split
@@ -204,11 +207,6 @@ type Options struct {
 	// Smaller segments give garbage collection finer reclamation
 	// granularity at the cost of more files.
 	VlogSegmentSize int64
-
-	// shardChild marks a store opened by the sharded router as one of
-	// its children; openSingle then leaves the value-log collector for
-	// the router to start once the global write path is wired.
-	shardChild bool
 
 	// VlogGCDiscardRatio is the dead-bytes fraction at which a sealed
 	// value-log segment becomes a garbage-collection candidate (default

@@ -83,9 +83,8 @@ type ScrubProgress struct {
 	LastErr error
 }
 
-// Progress returns the current scrub progress counters.  A sharded DB
-// reports the router-level flag and report with coverage counters
-// summed across the shards' passes.
+// ScrubProgress returns the current scrub progress counters; on a
+// sharded DB they cover every shard's part of the pass.
 func (db *DB) ScrubProgress() ScrubProgress {
 	db.scrub.mu.Lock()
 	p := ScrubProgress{
@@ -94,14 +93,6 @@ func (db *DB) ScrubProgress() ScrubProgress {
 		LastErr: db.scrub.lastErr,
 	}
 	db.scrub.mu.Unlock()
-	if ss := db.shards; ss != nil {
-		for _, kid := range ss.kids {
-			p.Tables += kid.scrub.tables.Load()
-			p.Blocks += kid.scrub.blocks.Load()
-			p.Bytes += kid.scrub.bytes.Load()
-		}
-		return p
-	}
 	p.Tables = db.scrub.tables.Load()
 	p.Blocks = db.scrub.blocks.Load()
 	p.Bytes = db.scrub.bytes.Load()
@@ -144,7 +135,8 @@ func (p *scrubPacer) pace(n int64) {
 // failures and lists everything it found in the report; err is the
 // first corruption (or I/O failure) so callers can simply check err !=
 // nil.  Reads to verify are rate-limited to Options.ScrubBytesPerSec
-// when that is set.  Only one Scrub runs at a time.
+// when that is set, per shard: a sharded DB scrubs its shards one at a
+// time into one report.  Only one Scrub runs at a time.
 func (db *DB) Scrub() (ScrubReport, error) {
 	var rep ScrubReport
 	if db.closedA.Load() {
@@ -162,12 +154,14 @@ func (db *DB) Scrub() (ScrubReport, error) {
 	db.scrub.bytes.Store(0)
 
 	var err error
-	if ss := db.shards; ss != nil {
-		// One shard at a time: the rate limit applies per shard, and the
-		// router's running flag covers the whole pass.
-		rep, err = ss.scrub()
-	} else {
-		rep, err = db.scrubPass()
+	for _, p := range db.pipes {
+		perr := p.scrubPass(&rep)
+		if err == nil {
+			err = perr
+		}
+		if errors.Is(perr, ErrClosed) {
+			break
+		}
 	}
 
 	db.scrub.mu.Lock()
@@ -178,34 +172,35 @@ func (db *DB) Scrub() (ScrubReport, error) {
 	return rep, err
 }
 
-func (db *DB) scrubPass() (ScrubReport, error) {
-	var rep ScrubReport
+// scrubPass verifies one pipeline's files, accumulating into rep, and
+// returns its first corruption or I/O failure.
+func (p *pipeline) scrubPass(rep *ScrubReport) error {
 	var firstErr error
 	note := func(err error) {
 		rep.Corruptions = append(rep.Corruptions, err)
 		if firstErr == nil {
 			firstErr = err
 		}
-		db.noteCorruption(err)
+		p.noteCorruption(err)
 	}
-	pacer := &scrubPacer{rate: db.opt.ScrubBytesPerSec, clock: newWallClock()}
+	pacer := &scrubPacer{rate: p.opt.ScrubBytesPerSec, clock: newWallClock()}
 	pacer.start = pacer.clock.Now()
 
 	// Tables: the engine hands us a referenced snapshot of every live
 	// table; Verify re-reads each from disk without touching the cache.
-	if tv, ok := db.eng.(engine.TableVisitor); ok {
+	if tv, ok := p.eng.(engine.TableVisitor); ok {
 		err := tv.VisitTables(func(level int, num uint64, t *table.Table) error {
-			if db.closedA.Load() {
+			if p.db.closedA.Load() {
 				return ErrClosed
 			}
 			st, verr := t.Verify(func(n int64) {
-				db.scrubBlocksC.Inc()
-				db.scrub.blocks.Add(1)
-				db.scrub.bytes.Add(n)
+				p.scrubBlocksC.Inc()
+				p.db.scrub.blocks.Add(1)
+				p.db.scrub.bytes.Add(n)
 				pacer.pace(n)
 			})
 			rep.Tables++
-			db.scrub.tables.Add(1)
+			p.db.scrub.tables.Add(1)
 			rep.Seqs += st.Seqs
 			rep.Blocks += st.Blocks
 			rep.Bytes += st.Bytes
@@ -220,16 +215,16 @@ func (db *DB) scrubPass() (ScrubReport, error) {
 			return nil
 		})
 		if err != nil {
-			return rep, err
+			return err
 		}
 	}
 
 	// Write-ahead logs: strict replay of every .log file.  The active
 	// log's in-flight tail reads as a torn tail, which strict replay
 	// tolerates; damage in front of valid records is corruption.
-	names, err := db.fs.List(db.dir)
+	names, err := p.db.fs.List(p.dir)
 	if err != nil {
-		return rep, err
+		return err
 	}
 	sort.Strings(names)
 	for _, name := range names {
@@ -239,15 +234,15 @@ func (db *DB) scrubPass() (ScrubReport, error) {
 		if _, err := strconv.ParseUint(strings.TrimSuffix(name, ".log"), 10, 64); err != nil {
 			continue
 		}
-		path := db.dir + "/" + name
-		f, err := db.fs.Open(path)
+		path := p.dir + "/" + name
+		f, err := p.db.fs.Open(path)
 		if err != nil {
-			return rep, err
+			return err
 		}
 		records := int64(0)
 		dropped, rerr := wal.ReplayAllStrict(f, path, func(rec []byte) error {
 			records++
-			db.scrub.bytes.Add(int64(len(rec)))
+			p.db.scrub.bytes.Add(int64(len(rec)))
 			pacer.pace(int64(len(rec)))
 			return nil
 		})
@@ -260,7 +255,7 @@ func (db *DB) scrubPass() (ScrubReport, error) {
 				note(rerr)
 				continue
 			}
-			return rep, rerr
+			return rerr
 		}
 	}
 
@@ -271,19 +266,19 @@ func (db *DB) scrubPass() (ScrubReport, error) {
 	// rule the WAL's torn tail gets.  Damage in any sealed segment is
 	// corruption and fences that segment off from GC (rewriting damaged
 	// records would launder the damage into fresh CRCs).
-	if db.vl != nil {
-		head := db.vl.Head()
-		for _, seg := range db.vl.Segments() {
-			if db.closedA.Load() {
-				return rep, ErrClosed
+	if p.vl != nil {
+		head := p.vl.Head()
+		for _, seg := range p.vl.Segments() {
+			if p.db.closedA.Load() {
+				return ErrClosed
 			}
-			path := vlog.SegmentName(db.dir, seg)
-			if !db.fs.Exists(path) {
+			path := vlog.SegmentName(p.dir, seg)
+			if !p.db.fs.Exists(path) {
 				continue // collected while the pass was running
 			}
-			scanned, serr := vlog.ScanFile(db.fs, path, func(key, val []byte, off int64, n int) error {
+			scanned, serr := vlog.ScanFile(p.db.fs, path, func(key, val []byte, off int64, n int) error {
 				rep.VLogRecords++
-				db.scrub.bytes.Add(int64(n))
+				p.db.scrub.bytes.Add(int64(n))
 				pacer.pace(int64(n))
 				return nil
 			})
@@ -293,10 +288,10 @@ func (db *DB) scrubPass() (ScrubReport, error) {
 				continue
 			}
 			if !IsCorruption(serr) {
-				return rep, serr
+				return serr
 			}
 			if seg == head {
-				if f, ferr := db.fs.Open(path); ferr == nil {
+				if f, ferr := p.db.fs.Open(path); ferr == nil {
 					if sz, szerr := f.Size(); szerr == nil && sz > scanned {
 						rep.VLogSuspect += sz - scanned
 					}
@@ -305,18 +300,18 @@ func (db *DB) scrubPass() (ScrubReport, error) {
 				continue
 			}
 			note(serr)
-			db.vl.MarkBad(seg)
+			p.vl.MarkBad(seg)
 		}
 	}
 
 	// Structure: every manifest-referenced file present and the
 	// engine's invariants intact.
-	if cerr := db.CheckInvariants(); cerr != nil {
+	if cerr := p.checkInvariants(); cerr != nil {
 		note(cerr)
 	}
 
-	if q, ok := db.eng.(engine.Quarantiner); ok {
-		rep.Quarantined = len(q.Quarantined())
+	if q, ok := p.eng.(engine.Quarantiner); ok {
+		rep.Quarantined += len(q.Quarantined())
 	}
-	return rep, firstErr
+	return firstErr
 }

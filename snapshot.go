@@ -15,104 +15,71 @@ type Snapshot struct {
 }
 
 // GetSnapshot captures the current state.  Callers must Release it.
-// The visible sequence comes from the lock-free read snapshot; only
-// the snapshot registry (which merges consult for their horizon) takes
-// a small dedicated lock, never db.mu.  Pushing the horizon down into
-// the engine does take the engine's own mutex under snapMu:
-//
-// On a sharded DB the sequence is the global watermark — a consistent
-// cut no torn cross-shard batch can straddle — and the pin is fanned
-// out to every shard's registry, so each shard's merges respect the
-// snapshot's horizon.
-//
-//iamlint:lockorder snapMu < core.Tree.mu; snapMu < lsm.DB.mu
+// The sequence is the watermark — a consistent cut no torn cross-shard
+// batch can straddle — registered in the DB's snapshot registry, which
+// every engine job consults for its horizon (see horizon).  Loading the
+// watermark and registering it happen under one snapMu hold, so no job
+// can pick a horizon above the snapshot in between.
 func (db *DB) GetSnapshot() *Snapshot {
-	s := &Snapshot{db: db, seq: db.visibleSeq()}
-	if ss := db.shards; ss != nil {
-		for _, kid := range ss.kids {
-			kid.pinAt(s.seq)
-		}
-		return s
-	}
-	db.pinAt(s.seq)
+	db.snapMu.Lock()
+	s := &Snapshot{db: db, seq: db.seqr.Visible()}
+	db.snaps[s.seq]++
+	db.snapMu.Unlock()
 	return s
 }
 
-// pinAt registers one snapshot reference at seq in this DB's registry.
-func (db *DB) pinAt(seq kv.Seq) {
-	db.snapMu.Lock()
-	db.snaps[seq]++
-	db.updateHorizonLocked()
-	db.snapMu.Unlock()
-}
-
-// unpinAt drops one snapshot reference at seq, nudging the value-log
-// collector: deferred segment deletions wait for the last pin.
-func (db *DB) unpinAt(seq kv.Seq) {
-	db.snapMu.Lock()
-	if db.snaps[seq]--; db.snaps[seq] <= 0 {
-		delete(db.snaps, seq)
-	}
-	db.updateHorizonLocked()
-	db.snapMu.Unlock()
-	if db.vl != nil {
-		db.kickVlogGC()
-	}
-}
-
-// Release ends the snapshot's protection; idempotent.
+// Release ends the snapshot's protection; idempotent.  It nudges the
+// value-log collectors: deferred segment deletions wait for the last
+// snapshot.
 func (s *Snapshot) Release() {
 	if s.released {
 		return
 	}
 	s.released = true
 	db := s.db
-	if ss := db.shards; ss != nil {
-		for _, kid := range ss.kids {
-			kid.unpinAt(s.seq)
-		}
-		return
+	db.snapMu.Lock()
+	if db.snaps[s.seq]--; db.snaps[s.seq] <= 0 {
+		delete(db.snaps, s.seq)
 	}
-	db.unpinAt(s.seq)
+	db.snapMu.Unlock()
+	for _, p := range db.pipes {
+		if p.vl != nil {
+			p.kickVlogGC()
+		}
+	}
 }
 
-// updateHorizonLocked pushes the oldest live snapshot (or "none") down
-// to the engine so merges know what they may drop.  Caller holds
-// db.snapMu.
-func (db *DB) updateHorizonLocked() {
-	h := kv.MaxSeq
+// horizon is the sequence an engine job may drop shadowed versions at
+// or below: the oldest live snapshot, and never above the watermark.
+// Records a pipeline committed above the watermark (another pipeline's
+// earlier allocation is still open) are invisible to every reader, so
+// a version they shadow must survive until the watermark passes them.
+// Jobs read it when they start; the watermark only rises, so a horizon
+// read earlier is merely conservative.
+func (db *DB) horizon() kv.Seq {
+	db.snapMu.Lock()
+	defer db.snapMu.Unlock()
+	h := db.seqr.Visible()
 	for seq := range db.snaps {
-		if seq < h {
-			h = seq
-		}
+		h = min(h, seq)
 	}
-	db.eng.SetHorizon(h)
+	return h
 }
 
-// Get reads a key as of the snapshot.
+// refreshHorizon hands the engine the current horizon; call it before
+// every engine job (flush, compaction step, compaction drain).
+func (p *pipeline) refreshHorizon() {
+	p.eng.SetHorizon(p.db.horizon())
+}
+
+// Get reads a key as of the snapshot.  Pointer records resolve
+// through the owning pipeline's value log; GC keeps every segment a
+// live snapshot can still reference.
 func (s *Snapshot) Get(key []byte) ([]byte, error) {
-	if s.released {
+	if s.released || s.db.closedA.Load() {
 		return nil, ErrClosed
 	}
-	db := s.db
-	if db.closedA.Load() {
-		return nil, ErrClosed
-	}
-	var v []byte
-	var kind kv.Kind
-	var err error
-	owner := db
-	if ss := db.shards; ss != nil {
-		owner = ss.kid(key)
-	}
-	st := owner.state.Load()
-	v, kind, err = owner.getRawAt(key, s.seq, st.mem, st.imm)
-	if err != nil {
-		return nil, err
-	}
-	// Pointer records resolve through the owning store's value log; GC
-	// keeps every segment a live snapshot can still reference.
-	v, kind, err = owner.maybeResolve(key, v, kind)
+	v, kind, err := s.db.getAt(key, s.seq)
 	if err != nil {
 		return nil, err
 	}

@@ -27,13 +27,14 @@ import (
 // rewrite could not prove every surviving record was superseded.
 var errVlogGCUncertain = errors.New("iamdb: vlog GC liveness check failed; segment kept")
 
-// openVLog opens the store's value log when separation is configured or
-// segment files already exist from an earlier run (so pointers written
-// then stay resolvable even with separation now off).  Runs during
-// openSingle, after WAL recovery and before any worker starts.
-func (db *DB) openVLog() error {
-	if db.opt.ValueThreshold <= 0 {
-		names, err := db.fs.List(db.dir)
+// openVLog opens the pipeline's value log when separation is
+// configured or segment files already exist from an earlier run (so
+// pointers written then stay resolvable even with separation now off).
+// Runs during openPipeline, after WAL recovery and before any worker
+// starts.
+func (p *pipeline) openVLog() error {
+	if p.opt.ValueThreshold <= 0 {
+		names, err := p.db.fs.List(p.dir)
 		if err != nil {
 			return err
 		}
@@ -48,31 +49,20 @@ func (db *DB) openVLog() error {
 			return nil
 		}
 	}
-	vl, st, err := vlog.Open(db.fs, db.dir, db.opt.VlogSegmentSize)
+	vl, st, err := vlog.Open(p.db.fs, p.dir, p.opt.VlogSegmentSize)
 	if err != nil {
 		return err
 	}
-	db.vl = vl
-	db.vlogOpenSt = st
+	p.vl = vl
+	p.vlogOpenSt = st
 	return nil
-}
-
-// startVlogGC launches the background collector.  The sharded router
-// starts its children's collectors itself, after wiring routerWrite, so
-// a rewrite never commits with a shard-local sequence.
-func (db *DB) startVlogGC() {
-	if db.vl == nil || db.opt.InlineBackground {
-		return
-	}
-	db.wg.Add(1)
-	go db.vlogGCWorker()
 }
 
 // kickVlogGC nudges the collector; safe from any goroutine, never
 // blocks.
-func (db *DB) kickVlogGC() {
+func (p *pipeline) kickVlogGC() {
 	select {
-	case db.vlogGCC <- struct{}{}:
+	case p.vlogGCC <- struct{}{}:
 	default:
 	}
 }
@@ -83,14 +73,14 @@ func (db *DB) kickVlogGC() {
 // only the log's stats leaf lock.  Recovery flushes run before the log
 // opens; their drops are skipped (their segments' density is simply
 // undercounted until later drops).
-func (db *DB) vlogOnDrop(kind kv.Kind, val []byte) {
-	vl := db.vl
+func (p *pipeline) vlogOnDrop(kind kv.Kind, val []byte) {
+	vl := p.vl
 	if vl == nil || !vlog.IsValuePointer(kind, val) {
 		return
 	}
-	p, _ := vlog.DecodePointer(val)
-	vl.NoteDiscard(p.Segment, int64(p.Len))
-	db.kickVlogGC()
+	ptr, _ := vlog.DecodePointer(val)
+	vl.NoteDiscard(ptr.Segment, int64(ptr.Len))
+	p.kickVlogGC()
 }
 
 // separateGroup is the commit leader's separation step, called with
@@ -106,7 +96,7 @@ func (db *DB) vlogOnDrop(kind kv.Kind, val []byte) {
 // group relative to what the user logically wrote (original value bytes
 // minus pointer bytes), so user-byte accounting — the denominator of
 // write amplification — stays in terms of user payload.
-func (db *DB) separateGroup(group []*commitOp) (int64, error) {
+func (p *pipeline) separateGroup(group []*commitOp) (int64, error) {
 	// Keys ordinary batches in this group write: a GC rewrite op for any
 	// of them is dropped outright, so a rewrite can never shadow — and
 	// thereby resurrect over — a same-group user write or delete,
@@ -123,12 +113,12 @@ func (db *DB) separateGroup(group []*commitOp) (int64, error) {
 			userKeys[string(bop.key)] = struct{}{}
 		}
 	}
-	th := db.opt.ValueThreshold
+	th := p.opt.ValueThreshold
 	var extra int64
 	appended := false
 	for _, op := range group {
 		if op.b.gcOld != nil {
-			if db.filterGCBatch(op.b, userKeys) {
+			if p.filterGCBatch(op.b, userKeys) {
 				appended = true // rewritten values await the sync below
 			}
 			continue
@@ -152,19 +142,19 @@ func (db *DB) separateGroup(group []*commitOp) (int64, error) {
 			if ops[i].kind != kv.KindSet || len(ops[i].val) < th {
 				continue
 			}
-			p, err := db.vl.Append(ops[i].key, ops[i].val)
+			ptr, err := p.vl.Append(ops[i].key, ops[i].val)
 			if err != nil {
 				return 0, err
 			}
 			extra += int64(len(ops[i].val)) - vlog.PointerLen
-			ops[i] = batchOp{kind: kv.KindValuePtr, key: ops[i].key, val: p.Encode()}
-			db.vlogAppendsC.Inc()
+			ops[i] = batchOp{kind: kv.KindValuePtr, key: ops[i].key, val: ptr.Encode()}
+			p.vlogAppendsC.Inc()
 			appended = true
 		}
 		op.b = &Batch{ops: ops}
 	}
-	if appended && db.opt.SyncWrites {
-		if err := db.vl.Sync(); err != nil {
+	if appended && p.opt.SyncWrites {
+		if err := p.vl.Sync(); err != nil {
 			return 0, err
 		}
 	}
@@ -178,15 +168,15 @@ func (db *DB) separateGroup(group []*commitOp) (int64, error) {
 // against includes every previously committed group.  A read failure
 // (not ErrNotFound) leaves liveness unprovable: the op is dropped and
 // the batch poisoned so the collector keeps the old segment.
-func (db *DB) filterGCBatch(b *Batch, userKeys map[string]struct{}) bool {
-	st := db.state.Load()
+func (p *pipeline) filterGCBatch(b *Batch, userKeys map[string]struct{}) bool {
+	st := p.state.Load()
 	kept := b.ops[:0]
 	for i, op := range b.ops {
 		stale := false
 		if _, ok := userKeys[string(op.key)]; ok {
 			stale = true
 		} else {
-			cur, kind, err := db.getRawAt(op.key, kv.MaxSeq, st.mem, st.imm)
+			cur, kind, err := p.getRawAt(op.key, kv.MaxSeq, st.mem, st.imm)
 			if err != nil && !errors.Is(err, ErrNotFound) {
 				b.gcFailed = true
 			}
@@ -196,8 +186,8 @@ func (db *DB) filterGCBatch(b *Batch, userKeys map[string]struct{}) bool {
 		if stale {
 			// The freshly re-appended copy is garbage before it was ever
 			// referenced; credit it so density accounting stays honest.
-			if p, ok := vlog.DecodePointer(op.val); ok {
-				db.vl.NoteDiscard(p.Segment, int64(p.Len))
+			if ptr, ok := vlog.DecodePointer(op.val); ok {
+				p.vl.NoteDiscard(ptr.Segment, int64(ptr.Len))
 			}
 			continue
 		}
@@ -210,11 +200,11 @@ func (db *DB) filterGCBatch(b *Batch, userKeys map[string]struct{}) bool {
 // maybeResolve rewrites a raw (value, kind) pair from the tree into the
 // user-visible form: pointer records resolve through the value log
 // (CRC-checked, key-verified), everything else passes through.
-func (db *DB) maybeResolve(key, v []byte, kind kv.Kind) ([]byte, kv.Kind, error) {
+func (p *pipeline) maybeResolve(key, v []byte, kind kv.Kind) ([]byte, kv.Kind, error) {
 	if kind != kv.KindValuePtr {
 		return v, kind, nil
 	}
-	rv, err := db.resolvePointer(key, v)
+	rv, err := p.resolvePointer(key, v)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -225,70 +215,47 @@ func (db *DB) maybeResolve(key, v []byte, kind kv.Kind) ([]byte, kv.Kind, error)
 // — malformed encoding, missing segment, CRC mismatch, key mismatch —
 // is a typed corruption: the tree acknowledged a value the log cannot
 // produce.
-func (db *DB) resolvePointer(key, enc []byte) ([]byte, error) {
-	p, ok := vlog.DecodePointer(enc)
-	if !ok || db.vl == nil {
-		err := corrupt.New(corrupt.LayerVLog, db.dir, -1, vlog.ErrBad,
+func (p *pipeline) resolvePointer(key, enc []byte) ([]byte, error) {
+	ptr, ok := vlog.DecodePointer(enc)
+	if !ok || p.vl == nil {
+		err := corrupt.New(corrupt.LayerVLog, p.dir, -1, vlog.ErrBad,
 			"tree carries an unresolvable value pointer")
-		db.noteCorruption(err)
+		p.noteCorruption(err)
 		return nil, err
 	}
-	v, err := db.vl.Read(p, key)
+	v, err := p.vl.Read(ptr, key)
 	if err != nil {
-		db.noteCorruption(err)
+		p.noteCorruption(err)
 		return nil, err
 	}
-	db.vlogResolvesC.Inc()
+	p.vlogResolvesC.Inc()
 	return v, nil
 }
 
-// iterAcquire counts an open iterator on every store the view covers —
-// each shard of a sharded scan — gating value-log segment deletion:
-// pointers a live view captured must stay resolvable.
-func (db *DB) iterAcquire() {
-	if ss := db.shards; ss != nil {
-		for _, kid := range ss.kids {
-			kid.iterOpen.Add(1)
-		}
-		return
-	}
-	db.iterOpen.Add(1)
-}
-
-// iterRelease undoes iterAcquire, kicking the collector when the last
-// iterator closes so deferred segment deletions can proceed.
-func (db *DB) iterRelease() {
-	if ss := db.shards; ss != nil {
-		for _, kid := range ss.kids {
-			kid.iterReleaseOne()
-		}
-		return
-	}
-	db.iterReleaseOne()
-}
-
-func (db *DB) iterReleaseOne() {
-	if db.iterOpen.Add(-1) == 0 && db.vl != nil {
-		db.kickVlogGC()
+// iterRelease undoes an iterator's count, kicking the collector when
+// the last iterator closes so deferred segment deletions can proceed.
+func (p *pipeline) iterRelease() {
+	if p.iterOpen.Add(-1) == 0 && p.vl != nil {
+		p.kickVlogGC()
 	}
 }
 
 // vlogGCWorker is the background collector: woken by discard credits
 // (and by iterators/snapshots releasing), it collects low-density
 // segments until none qualifies.
-func (db *DB) vlogGCWorker() {
-	defer db.wg.Done()
+func (p *pipeline) vlogGCWorker() {
+	defer p.db.wg.Done()
 	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(),
 		pprof.Labels("iamdb", "vlog-gc-worker")))
 	for {
 		select {
-		case <-db.quit:
+		case <-p.db.quit:
 			return
-		case <-db.vlogGCC:
+		case <-p.vlogGCC:
 		}
-		for db.vlogGCOnce() {
+		for p.vlogGCOnce() {
 			select {
-			case <-db.quit:
+			case <-p.db.quit:
 				return
 			default:
 			}
@@ -298,21 +265,21 @@ func (db *DB) vlogGCWorker() {
 
 // vlogGCOnce retries deferred deletions and collects at most one
 // segment, reporting whether it did rewrite work.
-func (db *DB) vlogGCOnce() bool {
-	db.vlogTryDeletes()
-	seg, ok := db.vl.PickGC(db.opt.VlogGCDiscardRatio)
+func (p *pipeline) vlogGCOnce() bool {
+	p.vlogTryDeletes()
+	seg, ok := p.vl.PickGC(p.opt.VlogGCDiscardRatio)
 	if !ok {
 		return false
 	}
-	if err := db.vlogCollect(seg); err != nil {
-		if db.closedA.Load() {
+	if err := p.vlogCollect(seg); err != nil {
+		if p.db.closedA.Load() {
 			return false
 		}
 		if IsCorruption(err) {
 			// An unreadable segment must not wedge the collector; fence
 			// it and surface the detection.
-			db.noteCorruption(err)
-			db.vl.MarkBad(seg)
+			p.noteCorruption(err)
+			p.vl.MarkBad(seg)
 		}
 		return false
 	}
@@ -328,7 +295,7 @@ func (db *DB) vlogGCOnce() bool {
 // superseded.  The segment is deleted only after Flush makes the
 // rewritten pointers engine-durable, and only once no iterator or
 // snapshot that might still chase the old pointers remains open.
-func (db *DB) vlogCollect(seg uint64) error {
+func (p *pipeline) vlogCollect(seg uint64) error {
 	const (
 		maxBatchOps   = 128
 		maxBatchBytes = 4 << 20
@@ -340,7 +307,7 @@ func (db *DB) vlogCollect(seg uint64) error {
 		if b.Len() == 0 {
 			return nil
 		}
-		if err := db.commitGC(b); err != nil {
+		if err := p.write(b, 0); err != nil {
 			return err
 		}
 		if b.gcFailed {
@@ -350,12 +317,12 @@ func (db *DB) vlogCollect(seg uint64) error {
 		pending = 0
 		return nil
 	}
-	err := db.vl.ScanSegment(seg, func(key, val []byte, p vlog.Pointer) error {
-		if db.closedA.Load() {
+	err := p.vl.ScanSegment(seg, func(key, val []byte, ptr vlog.Pointer) error {
+		if p.db.closedA.Load() {
 			return ErrClosed
 		}
-		st := db.state.Load()
-		cur, kind, err := db.getRawAt(key, kv.MaxSeq, st.mem, st.imm)
+		st := p.state.Load()
+		cur, kind, err := p.getRawAt(key, kv.MaxSeq, st.mem, st.imm)
 		if err != nil {
 			if errors.Is(err, ErrNotFound) {
 				return nil // key gone: record is dead
@@ -366,15 +333,15 @@ func (db *DB) vlogCollect(seg uint64) error {
 			return nil // overwritten inline or deleted
 		}
 		curp, ok := vlog.DecodePointer(cur)
-		if !ok || curp != p {
+		if !ok || curp != ptr {
 			return nil // superseded by a newer log record
 		}
-		np, err := db.vl.Append(key, val)
+		np, err := p.vl.Append(key, val)
 		if err != nil {
 			return err
 		}
 		b.putPointer(key, np.Encode(), cur)
-		db.vlogGCRewrites.Inc()
+		p.vlogGCRewrites.Inc()
 		pending += len(val)
 		if b.Len() >= maxBatchOps || pending >= maxBatchBytes {
 			return flush()
@@ -390,32 +357,20 @@ func (db *DB) vlogCollect(seg uint64) error {
 	// Durability order: Flush pushes the rewritten pointers out of
 	// WAL+memtable into the engine, whose manifest commit syncs them —
 	// deleting the segment can then never orphan a recoverable pointer.
-	if err := db.Flush(); err != nil {
+	if err := p.flush(); err != nil {
 		return err
 	}
-	db.vlogGCSegments.Inc()
-	db.vlogDeferDelete(seg)
-	db.vlogTryDeletes()
+	p.vlogGCSegments.Inc()
+	p.vlogDeferDelete(seg)
+	p.vlogTryDeletes()
 	return nil
 }
 
-// commitGC commits one rewrite batch through the normal write path —
-// the shard router's on a shard child, so the rewrite takes a globally
-// allocated sequence like any other write.  A GC batch's keys all
-// belong to this store's range, so the router's single-shard fast path
-// keeps the batch (and its conditional metadata) intact.
-func (db *DB) commitGC(b *Batch) error {
-	if db.routerWrite != nil {
-		return db.routerWrite(b)
-	}
-	return db.write(b, 0)
-}
-
 // vlogDeferDelete queues a fully-rewritten segment for deletion.
-func (db *DB) vlogDeferDelete(seg uint64) {
-	db.vlogPendMu.Lock()
-	db.vlogPend = append(db.vlogPend, seg)
-	db.vlogPendMu.Unlock()
+func (p *pipeline) vlogDeferDelete(seg uint64) {
+	p.vlogPendMu.Lock()
+	p.vlogPend = append(p.vlogPend, seg)
+	p.vlogPendMu.Unlock()
 }
 
 // vlogTryDeletes removes queued segments once no iterator or snapshot
@@ -424,48 +379,48 @@ func (db *DB) vlogDeferDelete(seg uint64) {
 // instant zero-check is sufficient: a view opened concurrently with the
 // removal is already safe, and one opened before it holds the counter
 // above zero.
-func (db *DB) vlogTryDeletes() {
-	if db.iterOpen.Load() != 0 {
+func (p *pipeline) vlogTryDeletes() {
+	if p.iterOpen.Load() != 0 {
 		return
 	}
-	db.snapMu.Lock()
-	pinned := len(db.snaps)
-	db.snapMu.Unlock()
+	p.db.snapMu.Lock()
+	pinned := len(p.db.snaps)
+	p.db.snapMu.Unlock()
 	if pinned != 0 {
 		return
 	}
-	db.vlogPendMu.Lock()
-	pend := db.vlogPend
-	db.vlogPend = nil
-	db.vlogPendMu.Unlock()
+	p.vlogPendMu.Lock()
+	pend := p.vlogPend
+	p.vlogPend = nil
+	p.vlogPendMu.Unlock()
 	for _, seg := range pend {
-		if err := db.vl.RemoveSegment(seg); err != nil {
-			db.vlogDeferDelete(seg) // head or transient failure: retry later
+		if err := p.vl.RemoveSegment(seg); err != nil {
+			p.vlogDeferDelete(seg) // head or transient failure: retry later
 		}
 	}
 }
 
 // closeVlog closes the value log at DB close.
-func (db *DB) closeVlog() error {
-	if db.vl == nil {
+func (p *pipeline) closeVlog() error {
+	if p.vl == nil {
 		return nil
 	}
-	return db.vl.Close()
+	return p.vl.Close()
 }
 
 // noteVlogOpenSuspicion reports the open scan's unparseable head-tail
 // bytes as a detection (mirroring truncated WAL tails): a torn append
 // and rotted records are physically indistinguishable, so dropped bytes
 // must always be visible to the operator.
-func (db *DB) noteVlogOpenSuspicion() {
-	if db.vl == nil || db.vlogOpenSt.SuspectBytes == 0 {
+func (p *pipeline) noteVlogOpenSuspicion() {
+	if p.vl == nil || p.vlogOpenSt.SuspectBytes == 0 {
 		return
 	}
-	db.corrDetected.Inc()
-	db.events.CorruptionDetected(metrics.CorruptionInfo{
-		Path:   vlog.SegmentName(db.dir, db.vl.Head()),
+	p.corrDetected.Inc()
+	p.db.events.CorruptionDetected(metrics.CorruptionInfo{
+		Path:   vlog.SegmentName(p.dir, p.vl.Head()),
 		Layer:  corrupt.LayerVLog,
-		Offset: db.vlogOpenSt.SuspectOffset,
-		Detail: fmt.Sprintf("unparseable value-log tail: %d bytes", db.vlogOpenSt.SuspectBytes),
+		Offset: p.vlogOpenSt.SuspectOffset,
+		Detail: fmt.Sprintf("unparseable value-log tail: %d bytes", p.vlogOpenSt.SuspectBytes),
 	})
 }
